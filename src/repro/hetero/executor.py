@@ -5,15 +5,12 @@
 catalog — one on a simulated GPU, one on a :class:`~repro.cpu.host.HostDevice`
 — lowers each plan to the shared pipeline IR, asks the placement
 optimizer (:mod:`repro.hetero.placement`) which side each pipeline runs
-on, and interprets the program with the compiled backend's own
-pipeline runner on each side:
-
-* **GPU pipelines** go through the full
-  :class:`~repro.query.compiled.CompiledPlanRunner` path when the GPU
-  backend supports fused pipelines — so fusion decisions stay GPU-side,
-  unchanged — and through the runner's eager path otherwise;
-* **CPU pipelines** always run eager: the host backend replays the
-  per-operator kernels on the host roofline (there is no host JIT).
+on, and runs each pipeline with that side's
+:class:`~repro.query.compiled.PipelineRunner`.  Fusion stays the
+runner's per-pipeline policy, so only a GPU backend that supports fused
+pipelines fuses; the host backend runs every pipeline eager, replaying
+the per-operator kernels on the host roofline (there is no host JIT).
+The pipelines run in pid order, which placement and staging need.
 
 When a pipeline consumes a result produced on the other side, the
 materialised relation is *staged* across: one download on the producer's
@@ -23,21 +20,20 @@ on the host both are free — so each boundary crossing costs exactly one
 PCIe leg, which is precisely the transfer term the placement model
 charged when it chose to cross.
 
-**Bit-identity.**  Both sides execute the *same* relation
-transformations (`_apply_filter`, `_apply_join`, `_apply_group_by`, ...)
-with the same NumPy semantics, and staging copies column data and
-metadata verbatim, so pure-CPU, pure-GPU, and any hybrid assignment
-produce byte-identical tables; only the cost events differ.
+**Bit-identity.**  Both sides run the same pipeline runner with the
+same NumPy semantics, and staging copies column data and metadata
+verbatim, so pure-CPU, pure-GPU, and any hybrid assignment produce
+byte-identical tables; only the cost events differ.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro.gpu.profiler import merge_summaries, to_chrome_trace, track_metadata
-from repro.query.compiled import CompiledPlanRunner
+from repro.query.compiled import PipelineRunner
 from repro.query.executor import (
     ExecutionReport,
     ExecutionResult,
@@ -154,8 +150,9 @@ class HeterogeneousExecutor:
         self.catalog = self.gpu.catalog
         self.model = model if model is not None else PlacementModel.default()
         self.mode = mode
-        self._gpu_runner = CompiledPlanRunner(self.gpu)
-        self._cpu_runner = CompiledPlanRunner(self.cpu)
+        self._runners = {
+            GPU: PipelineRunner(self.gpu), CPU: PipelineRunner(self.cpu)
+        }
         #: Placement chosen for the most recent ``execute`` call.
         self.last_placement: Optional[Placement] = None
 
@@ -175,7 +172,7 @@ class HeterogeneousExecutor:
                 f"{PLACEMENT_MODES}"
             )
         primary = self.cpu if mode == CPU else self.gpu
-        plan = primary._resolve_subqueries(plan)
+        plan = primary.resolve_subqueries(plan)
 
         gpu_device = self.gpu.backend.device
         cpu_device = self.cpu.backend.device
@@ -185,28 +182,23 @@ class HeterogeneousExecutor:
         c0 = cpu_device.clock.now
         gpu_device.memory.reset_peak()
 
-        program = lower_plan(
-            plan, columns_of=self.gpu._output_columns, needed=None
-        )
+        program = lower_plan(plan, catalog=self.catalog)
         placement = place_pipelines(program, self.catalog, self.model, mode)
         self.last_placement = placement
 
         outputs: Dict[str, Dict[int, _Relation]] = {CPU: {}, GPU: {}}
         staged_bytes = 0.0
-        staged: Set[tuple] = set()
         for pipeline in program.pipelines:
             device = placement.device_for(pipeline.pid)
-            staged_bytes += self._stage_inputs(
-                pipeline, device, outputs, staged
-            )
-            outputs[device][pipeline.pid] = self._run_on(
-                device, pipeline, outputs[device]
+            staged_bytes += self._stage_inputs(pipeline, device, outputs)
+            outputs[device][pipeline.pid] = self._runners[device].run_pipeline(
+                pipeline, outputs[device]
             )
 
         result_device = placement.device_for(program.result_pid)
         owner = self.cpu if result_device == CPU else self.gpu
         relation = outputs[result_device][program.result_pid]
-        table = owner._materialise(relation, result_name)
+        table = owner.materialise(relation, result_name)
 
         gpu_seconds = gpu_device.clock.elapsed_since(g0)
         cpu_seconds = cpu_device.clock.elapsed_since(c0)
@@ -229,33 +221,13 @@ class HeterogeneousExecutor:
         )
         return ExecutionResult(table=table, report=report)
 
-    # -- pipeline interpretation ---------------------------------------------------
-
-    def _run_on(
-        self,
-        device: str,
-        pipeline: Pipeline,
-        outputs: Dict[int, _Relation],
-    ) -> _Relation:
-        """Run one pipeline on its assigned side.
-
-        GPU pipelines keep the compiled backend's fusion machinery when
-        the backend offers it; CPU pipelines are always eager — the host
-        has per-operator SIMD kernels, not a JIT.
-        """
-        if device == GPU and getattr(
-            self.gpu.backend, "supports_fused_pipelines", False
-        ):
-            return self._gpu_runner._run_pipeline(pipeline, outputs)
-        runner = self._gpu_runner if device == GPU else self._cpu_runner
-        return runner._run_eager(pipeline, outputs)
+    # -- staging -------------------------------------------------------------------
 
     def _stage_inputs(
         self,
         pipeline: Pipeline,
         device: str,
         outputs: Dict[str, Dict[int, _Relation]],
-        staged: Set[tuple],
     ) -> float:
         """Make every pid ``pipeline`` consumes resident on ``device``.
 
@@ -273,14 +245,12 @@ class HeterogeneousExecutor:
             if pid in outputs[device]:
                 continue
             other = CPU if device == GPU else GPU
-            key = (pid, device)
             relation = outputs[other][pid]
             outputs[device][pid], nbytes = self._stage(
                 relation,
                 source=self.cpu if other == CPU else self.gpu,
                 target=self.cpu if device == CPU else self.gpu,
             )
-            staged.add(key)
             moved += nbytes
         return moved
 

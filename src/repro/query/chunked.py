@@ -62,6 +62,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.query.pipeline import output_columns
 from repro.query.plan import (
     Aggregate,
     Filter,
@@ -300,7 +301,7 @@ def _build_needed(
     """
     if probe.mid:
         return None
-    available = set(executor._output_columns(probe.build_plan))
+    available = set(output_columns(probe.build_plan, executor.catalog))
     needed = set(probe.inner.required_columns()) & available
     needed.add(probe.build_key)
     return sorted(needed)
@@ -324,6 +325,7 @@ def try_execute_chunked(
     the whole pipelined execution: its ``simulated_seconds`` is the
     makespan across all engines, which is where the overlap win shows up.
     """
+    from repro.query.compiled import PipelineRunner
     from repro.query.executor import ExecutionReport, ExecutionResult, QueryExecutor
 
     requested = chunks if chunks is not None else (executor.scan_chunks or 1)
@@ -364,10 +366,10 @@ def try_execute_chunked(
             join_strategy=executor.join_strategy,
             store=executor.store,
         )
-        build_relation = build_exec._execute_root(
-            probe.build_plan, needed=_build_needed(executor, probe)
+        build_relation = PipelineRunner(build_exec).run(
+            probe.build_plan, _build_needed(executor, probe)
         )
-        build_table = build_exec._materialise(build_relation, PROBE_BUILD_TABLE)
+        build_table = build_exec.materialise(build_relation, PROBE_BUILD_TABLE)
         build_relation = None  # release the build's device handles
         sub_plan: PlanNode = _probe_sub_plan(probe, PROBE_BUILD_TABLE)
     else:
@@ -386,9 +388,9 @@ def try_execute_chunked(
             store=_slice_store(executor.store, table_name, lo, hi),
         )
         with device.stream_scope(streams[i % num_streams]):
-            relation = sub._execute_root(sub_plan, needed=None)
+            relation = PipelineRunner(sub).run(sub_plan)
             chunk_tables.append(
-                sub._materialise(relation, f"{result_name}.chunk{i}")
+                sub.materialise(relation, f"{result_name}.chunk{i}")
             )
     device.synchronize()
 

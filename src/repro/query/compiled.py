@@ -1,21 +1,31 @@
-"""Pipeline-IR interpreter for the compiled fused-pipeline backend.
+"""The pipeline-IR runner: how every backend executes a plan.
 
-:class:`CompiledPlanRunner` executes a plan by lowering it to the
-pipeline IR (:mod:`repro.query.pipeline`) and running each pipeline
-front to back.  Per pipeline it picks one of two executions:
+:class:`PipelineRunner` lowers a plan to the pipeline IR
+(:mod:`repro.query.pipeline`) and runs its pipelines.  Per pipeline it
+picks one of two executions:
 
-* **fused** — the whole segment (scan → filters → projects → probes →
-  partial aggregation) becomes ONE simulated kernel priced as a single
-  DRAM pass (:meth:`~repro.core.compiled_backend.CompiledBackend.launch_fused`,
-  a ``FUSED[...]`` event), after a JIT-codegen charge on the first use of
-  the segment's signature (cached thereafter);
-* **eager** — the segment replays the eager executor's own relation
-  transformations (``_apply_*``), charging exactly the per-operator
-  kernels :class:`~repro.query.executor.QueryExecutor` would.
+* **eager** — the segment runs the executor's per-operator relation
+  transformations (``_apply_*``), charging one backend kernel chain per
+  operator.  This is how the studied libraries and every non-fusing
+  backend run, and how the compiled backend runs with fusion off.
+* **fused** — on a backend that sets ``supports_fused_pipelines`` (the
+  compiled backend), the whole segment (scan → filters → projects →
+  probes → partial aggregation) becomes ONE simulated kernel priced as a
+  single DRAM pass
+  (:meth:`~repro.core.compiled_backend.CompiledBackend.launch_fused`, a
+  ``FUSED[...]`` event), after a JIT-codegen charge on the first use of
+  the segment's signature (cached thereafter).  The backend's ``fusion``
+  mode picks: ``"on"``/``"off"`` force it, ``"auto"`` asks the
+  optimizer's fusion-boundary cost model
+  (:func:`~repro.query.optimizer.fusion_decision`) per segment.
 
-The choice is the backend's ``fusion`` mode: ``"on"``/``"off"`` force
-it, ``"auto"`` asks the optimizer's fusion-boundary cost model
-(:func:`~repro.query.optimizer.fusion_decision`) per segment.
+**Order.**  A pipeline's output is computed when its one consumer needs
+it and dropped after that use.  An eager pipeline scans and filters its
+probe side first and runs a build pipeline at the probe stage that reads
+it; a fused pipeline is one kernel, so it gets all its build inputs
+first, in ascending pid order, and then scans.  Pooled allocators and
+tiered stores make simulated time depend on this order and on how long
+intermediates stay alive, so it is part of the cost model.
 
 **Bit-identity.**  The fused path computes result values host-side with
 the same NumPy semantics the eager operators use — ``predicate.evaluate``
@@ -23,46 +33,66 @@ the same NumPy semantics the eager operators use — ``predicate.evaluate``
 :func:`~repro.core.backend.join_reference` for probes, the shared
 :func:`~repro.core.handwritten_backend.grouped_aggregate_host` /
 :func:`~repro.core.handwritten_backend.reduction_host` helpers for
-aggregation — and reuses the executor's own key decomposition, so every
-mode produces byte-identical tables; only the cost events differ.
+aggregation — and the same group-key encoding, so every mode produces
+byte-identical tables; only the cost events differ.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.backend import join_reference
-from repro.core.expr import ColRef, Expr, Lit
+from repro.core.expr import ColRef, Expr
 from repro.core.handwritten_backend import (
     _predicate_cost,
     grouped_aggregate_host,
     reduction_host,
 )
 from repro.errors import PlanError
-from repro.query.executor import ColumnMeta, QueryExecutor, _HostColumn, _Relation
+from repro.query.executor import (
+    ColumnMeta,
+    QueryExecutor,
+    _HostColumn,
+    _Relation,
+    composite_key_expr,
+    decompose_keys,
+)
 from repro.query.optimizer import FusionDecision, fusion_decision
 from repro.query.pipeline import (
     FilterStage,
     GroupBySink,
     Pipeline,
+    PipelineProgram,
     ProbeStage,
     ProjectStage,
     SemiProbeStage,
     Sink,
     SortSink,
-    Source,
     TableSource,
     TopKSink,
     lower_plan,
 )
-from repro.query.plan import GroupBy, PlanNode, Scan
+from repro.query.plan import GroupBy, PlanNode
 from repro.relational.types import ColumnType
 
 
-class CompiledPlanRunner:
-    """One plan execution through the pipeline IR."""
+class _OnDemand:
+    """A program's pipeline outputs as a ``pid -> relation`` mapping that
+    runs each pipeline when its output is read and keeps nothing: in a
+    plan tree every output has exactly one consumer."""
+
+    def __init__(self, runner: "PipelineRunner", program: PipelineProgram) -> None:
+        self.runner = runner
+        self.program = program
+
+    def __getitem__(self, pid: int) -> _Relation:
+        return self.runner.run_pipeline(self.program.pipelines[pid], self)
+
+
+class PipelineRunner:
+    """Runs plans through the pipeline IR on one executor's backend."""
 
     def __init__(self, executor: QueryExecutor) -> None:
         self.executor = executor
@@ -70,26 +100,35 @@ class CompiledPlanRunner:
 
     # -- driver -------------------------------------------------------------------
 
-    def run(self, plan: PlanNode, needed) -> _Relation:
-        program = lower_plan(
-            plan, columns_of=self.executor._output_columns, needed=needed
-        )
-        outputs: Dict[int, _Relation] = {}
-        for pipeline in program.pipelines:
-            outputs[pipeline.pid] = self._run_pipeline(pipeline, outputs)
-        return outputs[program.result_pid]
-
-    def _run_pipeline(
-        self, pipeline: Pipeline, outputs: Dict[int, _Relation]
+    def run(
+        self, plan: PlanNode, needed: Optional[Sequence[str]] = None
     ) -> _Relation:
+        """Run ``plan`` and return its result relation.
+
+        ``needed`` prunes the result to those columns (None = all).
+        """
+        program = lower_plan(plan, catalog=self.executor.catalog, needed=needed)
+        return _OnDemand(self, program)[program.result_pid]
+
+    def run_pipeline(
+        self, pipeline: Pipeline, inputs: Mapping[int, _Relation]
+    ) -> _Relation:
+        """Run one pipeline, fused or eager, and return its output.
+
+        ``inputs`` maps the pid of every pipeline this one consumes (its
+        source and the builds it probes) to that pipeline's output.
+        """
         if self._should_fuse(pipeline):
-            return self._run_fused(pipeline, outputs)
-        return self._run_eager(pipeline, outputs)
+            return self._run_fused(pipeline, inputs)
+        return self._run_eager(pipeline, inputs)
 
     # -- fusion decision ----------------------------------------------------------
 
     def _should_fuse(self, pipeline: Pipeline) -> bool:
-        if not pipeline.fusable:
+        if not (
+            pipeline.fusable
+            and getattr(self.backend, "supports_fused_pipelines", False)
+        ):
             return False
         mode = getattr(self.backend, "fusion", "auto")
         if mode == "off":
@@ -174,20 +213,15 @@ class CompiledPlanRunner:
 
     # -- eager segment ------------------------------------------------------------
 
-    def _source_relation(
-        self, source: Source, outputs: Dict[int, _Relation]
-    ) -> _Relation:
-        if isinstance(source, TableSource):
-            return self.executor._execute_scan(
-                Scan(source.table), source.columns
-            )
-        return outputs[source.pid]
-
     def _run_eager(
-        self, pipeline: Pipeline, outputs: Dict[int, _Relation]
+        self, pipeline: Pipeline, inputs: Mapping[int, _Relation]
     ) -> _Relation:
         ex = self.executor
-        relation = self._source_relation(pipeline.source, outputs)
+        source = pipeline.source
+        if isinstance(source, TableSource):
+            relation = ex._scan(source.table, source.columns)
+        else:
+            relation = inputs[source.pid]
         for stage in pipeline.stages:
             if isinstance(stage, FilterStage):
                 relation = ex._apply_filter(relation, stage.plan, stage.keep)
@@ -195,11 +229,11 @@ class CompiledPlanRunner:
                 relation = ex._apply_project(relation, stage.plan)
             elif isinstance(stage, ProbeStage):
                 relation = ex._apply_join(
-                    relation, outputs[stage.build_pid], stage.plan, stage.keep
+                    relation, inputs[stage.build_pid], stage.plan, stage.keep
                 )
             elif isinstance(stage, SemiProbeStage):
                 relation = ex._apply_semi_join(
-                    relation, outputs[stage.build_pid], stage.plan, stage.keep
+                    relation, inputs[stage.build_pid], stage.plan, stage.keep
                 )
             else:
                 relation = ex._apply_limit(relation, stage.plan.n)
@@ -217,13 +251,21 @@ class CompiledPlanRunner:
     # -- fused segment ------------------------------------------------------------
 
     def _run_fused(
-        self, pipeline: Pipeline, outputs: Dict[int, _Relation]
+        self, pipeline: Pipeline, inputs: Mapping[int, _Relation]
     ) -> _Relation:
-        ex = self.executor
         backend = self.backend
         assert isinstance(pipeline.source, TableSource)
-        scan = ex._execute_scan(
-            Scan(pipeline.source.table), pipeline.source.columns
+        # One kernel: every build it probes must exist before it starts.
+        builds = {
+            pid: inputs[pid]
+            for pid in sorted(
+                stage.build_pid
+                for stage in pipeline.stages
+                if isinstance(stage, (ProbeStage, SemiProbeStage))
+            )
+        }
+        scan = self.executor._scan(
+            pipeline.source.table, pipeline.source.columns
         )
         backend.ensure_program(
             self._signature(pipeline), pipeline.operator_count
@@ -280,7 +322,7 @@ class CompiledPlanRunner:
                 ops.append("project")
             elif isinstance(stage, ProbeStage):
                 plan = stage.plan
-                build = outputs[stage.build_pid]
+                build = builds[stage.build_pid]
                 left_ids, right_ids = join_reference(
                     host[plan.left_on], build.handle(plan.right_on).peek()
                 )
@@ -298,7 +340,6 @@ class CompiledPlanRunner:
                     new_meta[name] = build.meta[name]
                 host, meta = new_host, new_meta
                 num_rows = len(left_ids)
-                row_limit = None  # joins drop the annotation, like eager
                 table_bytes = (
                     backend.HASH_SLOT_BYTES
                     * backend.HASH_TABLE_OVERALLOC
@@ -315,7 +356,7 @@ class CompiledPlanRunner:
                 ops.append(f"probe[{plan.left_on}={plan.right_on}]")
             elif isinstance(stage, SemiProbeStage):
                 plan = stage.plan
-                build = outputs[stage.build_pid]
+                build = builds[stage.build_pid]
                 key_handle = build.handle(plan.right_on)
                 build_keys = (
                     key_handle.data
@@ -337,7 +378,6 @@ class CompiledPlanRunner:
                     new_meta[name] = meta[name]
                 host, meta = new_host, new_meta
                 num_rows = len(ids)
-                row_limit = None  # joins drop the annotation, like eager
                 table_bytes = (
                     backend.HASH_SLOT_BYTES
                     * backend.HASH_TABLE_OVERALLOC
@@ -391,11 +431,7 @@ class CompiledPlanRunner:
         relation = _Relation(
             columns=columns, meta=meta, num_rows=num_rows, row_limit=row_limit
         )
-        if isinstance(sink, SortSink):
-            return ex._apply_order_by(relation, sink.plan)
-        if isinstance(sink, TopKSink):
-            return ex._apply_top_k(relation, sink.plan)
-        return relation
+        return self._apply_sink(relation, sink)
 
     # -- fused aggregation --------------------------------------------------------
 
@@ -412,33 +448,6 @@ class CompiledPlanRunner:
             return host[expr.name]
         return np.asarray(expr.evaluate(host))
 
-    def _composite_key_host(
-        self,
-        keys: Tuple[str, ...],
-        host: Dict[str, np.ndarray],
-        meta: Dict[str, ColumnMeta],
-    ) -> Tuple[np.ndarray, List[int]]:
-        """Host mirror of ``QueryExecutor._composite_key`` (same strides,
-        same expression arithmetic, same derived-key guard)."""
-        if keys[0] not in host:
-            raise PlanError(
-                f"column {keys[0]!r} not available (have: {', '.join(host)})"
-            )
-        if len(keys) == 1:
-            return host[keys[0]], [1]
-        for key in keys[1:]:
-            if meta[key].max_value < 0:
-                raise PlanError(
-                    f"group-by key {key!r} has no known value bound (it is "
-                    "a derived column); place it first in the key list or "
-                    "group by the base columns it derives from"
-                )
-        strides = [meta[k].max_value + 1 for k in keys]
-        expr: Expr = ColRef(keys[0])
-        for key, stride in zip(keys[1:], strides[1:]):
-            expr = expr * Lit(stride) + ColRef(key)
-        return np.asarray(expr.evaluate(host)), strides
-
     def _fused_group_by(
         self,
         plan: GroupBy,
@@ -452,7 +461,6 @@ class CompiledPlanRunner:
         fixed_bytes: float,
         ops: List[str],
     ) -> _Relation:
-        ex = self.executor
         backend = self.backend
         aggregates = plan.aggregates
         if not plan.keys:
@@ -494,7 +502,8 @@ class CompiledPlanRunner:
             )
             return _Relation(columns=columns, meta=out_meta, num_rows=1)
 
-        key_data, strides = self._composite_key_host(plan.keys, host, meta)
+        key_expr, strides = composite_key_expr(plan.keys, meta)
+        key_data = self._expr_values(key_expr, host)
         agg_columns: Dict[str, np.ndarray] = {}
         agg_meta: Dict[str, ColumnMeta] = {}
         unique_keys: Optional[np.ndarray] = None
@@ -546,8 +555,7 @@ class CompiledPlanRunner:
         # down, decomposed per-column keys go back up.
         out_keys = backend._wrap(unique_keys, "compiled::group_keys")
         composite = backend.download(out_keys).astype(np.int64)
-        shim = _Relation(columns={}, meta=meta, num_rows=groups)
-        key_columns = ex._decompose_keys(plan.keys, composite, strides, shim)
+        key_columns = decompose_keys(plan.keys, composite, strides, meta)
         ordered: Dict[str, object] = {}
         ordered_meta: Dict[str, ColumnMeta] = {}
         for name, (data, key_meta) in key_columns.items():

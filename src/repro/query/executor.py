@@ -1,8 +1,11 @@
 """Physical execution of logical plans on an operator backend.
 
-The executor is backend-agnostic: it lowers each plan node onto the
-:class:`~repro.core.backend.OperatorBackend` operator set (Table II), so a
-query costs exactly what its operator composition costs on the chosen
+The executor is backend-agnostic: every plan is lowered to the pipeline
+IR (:mod:`repro.query.pipeline`) and interpreted by the one
+:class:`~repro.query.compiled.PipelineRunner`, whose eager stages map
+each operator onto the :class:`~repro.core.backend.OperatorBackend`
+operator set (Table II) through the relation transformations below, so
+a query costs exactly what its operator composition costs on the chosen
 library.  Columns are uploaded once per scan (only those the plan
 references — column-store style) and every intermediate is a device
 handle; the only downloads are scalar counts and the final result.
@@ -43,7 +46,6 @@ from repro.query.plan import (
     PlanNode,
     Project,
     ScalarCompare,
-    Scan,
     SemiJoin,
     TopK,
 )
@@ -174,7 +176,7 @@ class QueryExecutor:
         graceful degradation instead of a hard failure.  The retry's
         report carries the chunk count in ``oom_recovery_chunks``.
         """
-        plan = self._resolve_subqueries(plan)
+        plan = self.resolve_subqueries(plan)
         oom: Optional[DeviceMemoryError] = None
         if self.scan_chunks is not None:
             from repro.query.chunked import try_execute_chunked
@@ -199,12 +201,14 @@ class QueryExecutor:
 
     def _execute_whole(self, plan: PlanNode, result_name: str) -> ExecutionResult:
         """One whole-table execution attempt with its cost report."""
+        from repro.query.compiled import PipelineRunner
+
         device = self.backend.device
         cursor = device.profiler.mark()
         t0 = device.clock.now
         device.memory.reset_peak()
-        relation = self._execute_root(plan, needed=None)
-        table = self._materialise(relation, result_name)
+        relation = PipelineRunner(self).run(plan)
+        table = self.materialise(relation, result_name)
         report = ExecutionReport(
             backend=self.backend.name,
             simulated_seconds=device.clock.elapsed_since(t0),
@@ -273,7 +277,7 @@ class QueryExecutor:
 
     # -- subquery resolution ---------------------------------------------------------
 
-    def _resolve_subqueries(self, plan: PlanNode) -> PlanNode:
+    def resolve_subqueries(self, plan: PlanNode) -> PlanNode:
         """Replace subquery predicates with literal predicates.
 
         Uncorrelated IN and scalar subqueries are executed bottom-up
@@ -288,17 +292,17 @@ class QueryExecutor:
         """
         if isinstance(plan, Filter):
             return Filter(
-                self._resolve_subqueries(plan.child),
+                self.resolve_subqueries(plan.child),
                 self._resolve_predicate(plan.predicate),
             )
         if isinstance(plan, (Join, SemiJoin)):
             return replace(
                 plan,
-                left=self._resolve_subqueries(plan.left),
-                right=self._resolve_subqueries(plan.right),
+                left=self.resolve_subqueries(plan.left),
+                right=self.resolve_subqueries(plan.right),
             )
         if isinstance(plan, (Project, GroupBy, OrderBy, Limit, TopK)):
-            return replace(plan, child=self._resolve_subqueries(plan.child))
+            return replace(plan, child=self.resolve_subqueries(plan.child))
         return plan
 
     def _resolve_predicate(self, predicate: Predicate) -> Predicate:
@@ -334,7 +338,7 @@ class QueryExecutor:
     def _run_subquery(self, subplan: PlanNode, output: str) -> np.ndarray:
         """Execute an inner plan and return its ``output`` column's
         physical values (dictionary columns yield their codes)."""
-        resolved = self._resolve_subqueries(subplan)
+        resolved = self.resolve_subqueries(subplan)
         result = self._execute_whole(resolved, "subquery")
         try:
             column = result.table.column(output)
@@ -345,75 +349,7 @@ class QueryExecutor:
             )
         return np.asarray(column.data)
 
-    # -- static analysis -----------------------------------------------------------
-
-    def _output_columns(self, plan: PlanNode) -> List[str]:
-        """Column names a node's output relation will carry."""
-        if isinstance(plan, Scan):
-            return self.catalog[plan.table].column_names
-        if isinstance(plan, Project):
-            return [name for name, _expr in plan.outputs]
-        if isinstance(plan, GroupBy):
-            return list(plan.keys) + [a.name for a in plan.aggregates]
-        if isinstance(plan, Join):
-            left = self._output_columns(plan.left)
-            right = self._output_columns(plan.right)
-            overlap = set(left) & set(right)
-            if overlap:
-                raise PlanError(
-                    f"join sides share column names {sorted(overlap)}; "
-                    "project/rename before joining"
-                )
-            return left + right
-        if isinstance(plan, SemiJoin):
-            # Right columns never escape a semi/anti join.
-            return self._output_columns(plan.left)
-        children = plan.children()
-        if len(children) == 1:
-            return self._output_columns(children[0])
-        raise PlanError(f"cannot derive output columns of {plan!r}")
-
-    # -- node dispatch ----------------------------------------------------------------
-
-    def _execute_root(
-        self, plan: PlanNode, needed: Optional[Sequence[str]]
-    ) -> _Relation:
-        """Entry point for a (sub-)plan's root: picks the execution mode.
-
-        Backends advertising ``supports_fused_pipelines`` are routed
-        through the pipeline IR (:mod:`repro.query.compiled`), which fuses
-        unbroken operator segments into single kernels; everything else —
-        and fusion mode ``"off"`` — takes the eager node-by-node path.
-        """
-        if getattr(self.backend, "supports_fused_pipelines", False):
-            from repro.query.compiled import CompiledPlanRunner
-
-            return CompiledPlanRunner(self).run(plan, needed)
-        return self._execute(plan, needed)
-
-    def _execute(
-        self, plan: PlanNode, needed: Optional[Sequence[str]]
-    ) -> _Relation:
-        if isinstance(plan, Scan):
-            return self._execute_scan(plan, needed)
-        if isinstance(plan, Filter):
-            return self._execute_filter(plan, needed)
-        if isinstance(plan, Project):
-            return self._execute_project(plan)
-        if isinstance(plan, Join):
-            return self._execute_join(plan, needed)
-        if isinstance(plan, SemiJoin):
-            return self._execute_semi_join(plan, needed)
-        if isinstance(plan, GroupBy):
-            return self._execute_group_by(plan)
-        if isinstance(plan, OrderBy):
-            return self._execute_order_by(plan, needed)
-        if isinstance(plan, TopK):
-            return self._execute_top_k(plan, needed)
-        if isinstance(plan, Limit):
-            relation = self._execute(plan.child, needed)
-            return self._apply_limit(relation, plan.n)
-        raise PlanError(f"unknown plan node {type(plan).__name__}")
+    # -- relation transformations (the runner's eager stages) ----------------------
 
     def _apply_limit(self, relation: _Relation, n: int) -> _Relation:
         limit = n if relation.row_limit is None else min(n, relation.row_limit)
@@ -422,16 +358,16 @@ class QueryExecutor:
 
     # -- scan ----------------------------------------------------------------------------
 
-    def _execute_scan(
-        self, plan: Scan, needed: Optional[Sequence[str]]
+    def _scan(
+        self, table_name: str, needed: Optional[Sequence[str]]
     ) -> _Relation:
         try:
-            table = self.catalog[plan.table]
+            table = self.catalog[table_name]
         except KeyError:
             known = ", ".join(sorted(self.catalog))
-            raise PlanError(f"unknown table {plan.table!r}; catalog has: {known}")
+            raise PlanError(f"unknown table {table_name!r}; catalog has: {known}")
         names = list(needed) if needed is not None else table.column_names
-        columns = self._upload_scan_columns(plan.table, names, table)
+        columns = self._upload_scan_columns(table_name, names, table)
         meta: Dict[str, ColumnMeta] = {}
         for name in names:
             column = table.column(name)
@@ -482,15 +418,6 @@ class QueryExecutor:
 
     # -- filter --------------------------------------------------------------------------
 
-    def _execute_filter(
-        self, plan: Filter, needed: Optional[Sequence[str]]
-    ) -> _Relation:
-        child_needed = self._merge_needed(
-            needed, plan.predicate.columns(), plan.child
-        )
-        relation = self._execute(plan.child, child_needed)
-        return self._apply_filter(relation, plan, needed)
-
     def _apply_filter(
         self,
         relation: _Relation,
@@ -515,13 +442,6 @@ class QueryExecutor:
         )
 
     # -- project -------------------------------------------------------------------------
-
-    def _execute_project(self, plan: Project) -> _Relation:
-        child_needed = self._merge_needed(
-            None, plan.required_columns(), plan.child, restrict=True
-        )
-        relation = self._execute(plan.child, child_needed)
-        return self._apply_project(relation, plan)
 
     def _apply_project(self, relation: _Relation, plan: Project) -> _Relation:
         columns: Dict[str, Handle] = {}
@@ -558,31 +478,6 @@ class QueryExecutor:
 
     # -- join ----------------------------------------------------------------------------
 
-    def _execute_join(
-        self, plan: Join, needed: Optional[Sequence[str]]
-    ) -> _Relation:
-        left_available = self._output_columns(plan.left)
-        right_available = self._output_columns(plan.right)
-        overlap = set(left_available) & set(right_available)
-        if overlap:
-            raise PlanError(
-                f"join sides share column names {sorted(overlap)}; "
-                "project/rename before joining"
-            )
-        if needed is None:
-            left_needed: Optional[List[str]] = None
-            right_needed: Optional[List[str]] = None
-        else:
-            left_needed = [n for n in needed if n in left_available]
-            right_needed = [n for n in needed if n in right_available]
-            if plan.left_on not in left_needed:
-                left_needed.append(plan.left_on)
-            if plan.right_on not in right_needed:
-                right_needed.append(plan.right_on)
-        left = self._execute(plan.left, left_needed)
-        right = self._execute(plan.right, right_needed)
-        return self._apply_join(left, right, plan, needed)
-
     def _apply_join(
         self,
         left: _Relation,
@@ -611,25 +506,6 @@ class QueryExecutor:
         return _Relation(columns=columns, meta=meta, num_rows=matches)
 
     # -- semi / anti join ---------------------------------------------------------------
-
-    def _execute_semi_join(
-        self, plan: SemiJoin, needed: Optional[Sequence[str]]
-    ) -> _Relation:
-        left_available = self._output_columns(plan.left)
-        if needed is None:
-            left_needed: Optional[List[str]] = None
-        else:
-            left_needed = [n for n in needed if n in left_available]
-            if plan.left_on not in left_needed:
-                left_needed.append(plan.left_on)
-        left = self._execute(plan.left, left_needed)
-        right = self._execute(
-            plan.right,
-            self._merge_needed(
-                None, frozenset({plan.right_on}), plan.right, restrict=True
-            ),
-        )
-        return self._apply_semi_join(left, right, plan, needed)
 
     def _apply_semi_join(
         self,
@@ -718,17 +594,11 @@ class QueryExecutor:
 
     # -- group by -----------------------------------------------------------------------
 
-    def _execute_group_by(self, plan: GroupBy) -> _Relation:
-        child_needed = self._merge_needed(
-            None, plan.required_columns(), plan.child, restrict=True
-        )
-        relation = self._execute(plan.child, child_needed)
-        return self._apply_group_by(relation, plan)
-
     def _apply_group_by(self, relation: _Relation, plan: GroupBy) -> _Relation:
         if not plan.keys:
             return self._global_aggregation(plan, relation)
-        key_handle, strides = self._composite_key(plan.keys, relation)
+        key_expr, strides = composite_key_expr(plan.keys, relation.meta)
+        key_handle = self._expr_handle(key_expr, relation)
         columns: Dict[str, Handle] = {}
         meta: Dict[str, ColumnMeta] = {}
         out_keys: Optional[Handle] = None
@@ -751,7 +621,7 @@ class QueryExecutor:
         # then re-upload the per-column keys so downstream operators (joins,
         # sorts) keep working on device handles.
         composite = self.backend.download(out_keys).astype(np.int64)
-        key_columns = self._decompose_keys(plan.keys, composite, strides, relation)
+        key_columns = decompose_keys(plan.keys, composite, strides, relation.meta)
         ordered: Dict[str, Handle] = {}
         ordered_meta: Dict[str, ColumnMeta] = {}
         for name, (data, key_meta) in key_columns.items():
@@ -801,68 +671,7 @@ class QueryExecutor:
             return relation.handle(expr.name)
         return self.backend.compute(relation.columns, expr)
 
-    def _composite_key(
-        self, keys: Tuple[str, ...], relation: _Relation
-    ) -> Tuple[Handle, List[int]]:
-        """Combine key columns into one integer key on the device.
-
-        Strides come from each column's value bound (host metadata), so
-        ``(k0 * s1 + k1) * s2 + k2 ...`` is collision-free.
-        """
-        if len(keys) == 1:
-            return relation.handle(keys[0]), [1]
-        for key in keys[1:]:
-            if relation.meta[key].max_value < 0:
-                raise PlanError(
-                    f"group-by key {key!r} has no known value bound (it is "
-                    "a derived column); place it first in the key list or "
-                    "group by the base columns it derives from"
-                )
-        strides = [relation.meta[k].max_value + 1 for k in keys]
-        expr: Expr = ColRef(keys[0])
-        for key, stride in zip(keys[1:], strides[1:]):
-            expr = expr * Lit(stride) + ColRef(key)
-        return self.backend.compute(relation.columns, expr), strides
-
-    def _decompose_keys(
-        self,
-        keys: Tuple[str, ...],
-        composite: np.ndarray,
-        strides: List[int],
-        relation: _Relation,
-    ) -> Dict[str, Tuple[np.ndarray, ColumnMeta]]:
-        result: Dict[str, Tuple[np.ndarray, ColumnMeta]] = {}
-        if len(keys) == 1:
-            name = keys[0]
-            key_meta = relation.meta[name]
-            result[name] = (
-                composite.astype(key_meta.ctype.numpy_dtype), key_meta
-            )
-            return result
-        remaining = composite.astype(np.int64)
-        # Peel from the last key to the first: values were accumulated as
-        # (((k0 * s1) + k1) * s2 + k2) ...
-        parts: List[np.ndarray] = []
-        for stride in reversed(strides[1:]):
-            parts.append(remaining % stride)
-            remaining = remaining // stride
-        parts.append(remaining)
-        parts.reverse()
-        for name, data in zip(keys, parts):
-            key_meta = relation.meta[name]
-            result[name] = (data.astype(key_meta.ctype.numpy_dtype), key_meta)
-        return result
-
     # -- order by ----------------------------------------------------------------------
-
-    def _execute_order_by(
-        self, plan: OrderBy, needed: Optional[Sequence[str]]
-    ) -> _Relation:
-        child_needed = self._merge_needed(
-            needed, frozenset({plan.key}), plan.child
-        )
-        relation = self._execute(plan.child, child_needed)
-        return self._apply_order_by(relation, plan)
 
     def _apply_order_by(self, relation: _Relation, plan: OrderBy) -> _Relation:
         key_handle = relation.handle(plan.key)
@@ -902,15 +711,6 @@ class QueryExecutor:
 
     # -- top-k --------------------------------------------------------------------------
 
-    def _execute_top_k(
-        self, plan: TopK, needed: Optional[Sequence[str]]
-    ) -> _Relation:
-        child_needed = self._merge_needed(
-            needed, frozenset({plan.key}), plan.child
-        )
-        relation = self._execute(plan.child, child_needed)
-        return self._apply_top_k(relation, plan)
-
     def _apply_top_k(self, relation: _Relation, plan: TopK) -> _Relation:
         """Full device sort, but only the head ``n`` row ids are gathered
         per payload column — bit-identical to OrderBy→Limit (same
@@ -947,7 +747,9 @@ class QueryExecutor:
 
     # -- materialisation ----------------------------------------------------------------
 
-    def _materialise(self, relation: _Relation, name: str) -> Table:
+    def materialise(self, relation: _Relation, name: str) -> Table:
+        """Download ``relation`` into a host table named ``name``,
+        applying its row limit and decoding dictionary columns."""
         columns: List[Column] = []
         limit = relation.row_limit
         for column_name, handle in relation.columns.items():
@@ -965,27 +767,61 @@ class QueryExecutor:
             raise PlanError("query produced no columns")
         return Table(name, columns)
 
-    # -- helpers ---------------------------------------------------------------------
 
-    def _merge_needed(
-        self,
-        needed: Optional[Sequence[str]],
-        extra: frozenset,
-        child: PlanNode,
-        restrict: bool = False,
-    ) -> Optional[List[str]]:
-        """Column set to request from ``child``.
+def composite_key_expr(
+    keys: Tuple[str, ...], meta: Dict[str, ColumnMeta]
+) -> Tuple[Expr, List[int]]:
+    """The expression combining group-by key columns into one integer
+    key, plus the strides :func:`decompose_keys` splits it back with.
 
-        ``restrict=True`` (Project/GroupBy) always narrows to ``extra``;
-        otherwise ``None`` (= all) propagates.
-        """
-        if restrict:
-            return sorted(extra)
-        if needed is None:
-            return None
-        merged = set(needed) | set(extra)
-        available = set(self._output_columns(child))
-        return sorted(merged & available)
+    Strides come from each column's value bound (host metadata), so
+    ``(k0 * s1 + k1) * s2 + k2 ...`` is collision-free.  A single key
+    is its own column.
+    """
+    if len(keys) == 1:
+        return ColRef(keys[0]), [1]
+    for key in keys[1:]:
+        if meta[key].max_value < 0:
+            raise PlanError(
+                f"group-by key {key!r} has no known value bound (it is "
+                "a derived column); place it first in the key list or "
+                "group by the base columns it derives from"
+            )
+    strides = [meta[k].max_value + 1 for k in keys]
+    expr: Expr = ColRef(keys[0])
+    for key, stride in zip(keys[1:], strides[1:]):
+        expr = expr * Lit(stride) + ColRef(key)
+    return expr, strides
+
+
+def decompose_keys(
+    keys: Tuple[str, ...],
+    composite: np.ndarray,
+    strides: List[int],
+    meta: Dict[str, ColumnMeta],
+) -> Dict[str, Tuple[np.ndarray, ColumnMeta]]:
+    """Split composite group keys back into per-column (data, meta)."""
+    result: Dict[str, Tuple[np.ndarray, ColumnMeta]] = {}
+    if len(keys) == 1:
+        name = keys[0]
+        key_meta = meta[name]
+        result[name] = (
+            composite.astype(key_meta.ctype.numpy_dtype), key_meta
+        )
+        return result
+    remaining = composite.astype(np.int64)
+    # Peel from the last key to the first: values were accumulated as
+    # (((k0 * s1) + k1) * s2 + k2) ...
+    parts: List[np.ndarray] = []
+    for stride in reversed(strides[1:]):
+        parts.append(remaining % stride)
+        remaining = remaining // stride
+    parts.append(remaining)
+    parts.reverse()
+    for name, data in zip(keys, parts):
+        key_meta = meta[name]
+        result[name] = (data.astype(key_meta.ctype.numpy_dtype), key_meta)
+    return result
 
 
 class _HostColumn:

@@ -8,7 +8,7 @@ row-local operators (scan → filter → project → probe) that a compiling
 engine can execute as **one fused kernel over tiles**, touching DRAM once
 instead of once per operator.
 
-Breakers here, matching the executor's materialisation points:
+Breakers here are the executor's materialisation points:
 
 * **Join build** — the build side of a join materialises before the
   probe streams through it; the build side becomes its own pipeline
@@ -20,20 +20,20 @@ Breakers here, matching the executor's materialisation points:
 * **Sort** — an :class:`OrderBy` consumes everything before emitting
   (:class:`SortSink`).
 
-The lowering pass (:func:`lower_plan`) mirrors the eager executor's
-top-down column pruning exactly — each source and stage records the same
-``needed`` column lists :class:`~repro.query.executor.QueryExecutor`
-would request — so a runner that interprets this IR (fused or eager)
-produces bit-identical relations, column order included.  The compiled
-backend's runner (:mod:`repro.query.compiled`) is that interpreter; the
-fusion-boundary cost model (:func:`repro.query.optimizer.fusion_decision`)
-chooses per pipeline whether fusing actually wins.
+The lowering pass (:func:`lower_plan`) also prunes columns top-down: each
+source and stage records the columns its consumers still need, so a scan
+uploads only referenced columns and every stage drops the rest as early
+as possible.  Every plan of every backend runs through this IR: the
+runner (:class:`repro.query.compiled.PipelineRunner`) interprets it, and
+the fusion-boundary cost model
+(:func:`repro.query.optimizer.fusion_decision`) chooses per pipeline
+whether fusing actually wins on a backend that can fuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import PlanError
 from repro.query.plan import (
@@ -56,9 +56,7 @@ from repro.query.plan import (
 class TableSource:
     """Pipeline input: a base-table scan.
 
-    ``columns`` is the pruned column list the scan uploads (None = all),
-    exactly what the eager executor's ``needed`` propagation would
-    request.
+    ``columns`` is the pruned column list the scan uploads (None = all).
     """
 
     table: str
@@ -118,8 +116,8 @@ class SemiProbeStage:
 
 @dataclass(frozen=True)
 class LimitStage:
-    """Row-limit annotation (applied at materialisation, like the eager
-    executor's ``row_limit``)."""
+    """Row-limit annotation, applied at materialisation (so a limit may
+    only feed projections and other limits on its way to the result)."""
 
     plan: Limit
 
@@ -241,11 +239,74 @@ class PipelineProgram:
 # -- lowering -----------------------------------------------------------------
 
 
+def _joined(left: List[str], right: List[str]) -> List[str]:
+    """A join's output columns; the two sides must not share a name."""
+    overlap = set(left) & set(right)
+    if overlap:
+        raise PlanError(
+            f"join sides share column names {sorted(overlap)}; "
+            "project/rename before joining"
+        )
+    return left + right
+
+
+def output_columns(plan: PlanNode, catalog: Dict[str, object]) -> List[str]:
+    """Column names ``plan``'s output relation carries, in order.
+
+    ``catalog`` maps table names to objects with ``column_names`` (host
+    tables).  Raises :class:`PlanError` for an unknown table or a join
+    whose sides share a column name.
+    """
+    if isinstance(plan, Scan):
+        try:
+            table = catalog[plan.table]
+        except KeyError:
+            known = ", ".join(sorted(catalog))
+            raise PlanError(
+                f"unknown table {plan.table!r}; catalog has: {known}"
+            )
+        return list(table.column_names)  # type: ignore[attr-defined]
+    if isinstance(plan, Project):
+        return [name for name, _expr in plan.outputs]
+    if isinstance(plan, GroupBy):
+        return list(plan.keys) + [a.name for a in plan.aggregates]
+    if isinstance(plan, Join):
+        return _joined(
+            output_columns(plan.left, catalog),
+            output_columns(plan.right, catalog),
+        )
+    if isinstance(plan, SemiJoin):
+        # Right columns never escape a semi/anti join.
+        return output_columns(plan.left, catalog)
+    children = plan.children()
+    if len(children) == 1:
+        return output_columns(children[0], catalog)
+    raise PlanError(f"cannot derive output columns of {plan!r}")
+
+
+def _check_limits(plan: PlanNode, on_result_path: bool = True) -> None:
+    """Reject a :class:`Limit` that feeds anything but projections and
+    limits on its way to the result.
+
+    A limit is a row-count annotation applied at materialisation; every
+    other operator (filters, joins on either side, aggregations, sorts)
+    would see the unlimited rows and give a wrong answer.
+    """
+    if isinstance(plan, Limit) and not on_result_path:
+        raise PlanError(
+            f"limit {plan.n} feeds an operator other than a projection or "
+            "a limit; only the plan's result may be limited"
+        )
+    passes = on_result_path and isinstance(plan, (Project, Limit))
+    for child in plan.children():
+        _check_limits(child, passes)
+
+
 @dataclass
 class _Lowering:
     """Mutable state threaded through one lowering pass."""
 
-    columns_of: Callable[[PlanNode], List[str]]
+    catalog: Dict[str, object]
     pipelines: List[Pipeline] = field(default_factory=list)
 
     def close(self, source: Source, stages: List[Stage], sink: Sink) -> int:
@@ -260,12 +321,26 @@ def _merge_needed(
     extra: frozenset,
     child: PlanNode,
 ) -> Optional[List[str]]:
-    """Mirror of ``QueryExecutor._merge_needed`` (non-restricting form)."""
+    """Columns to request from ``child``: ``needed`` plus ``extra``,
+    restricted to what ``child`` produces (None = all)."""
     if needed is None:
         return None
     merged = set(needed) | set(extra)
-    available = set(state.columns_of(child))
+    available = set(output_columns(child, state.catalog))
     return sorted(merged & available)
+
+
+def _side_needed(
+    needed: Optional[Sequence[str]], available: List[str], key: str
+) -> Optional[List[str]]:
+    """Columns to request from one side of a join: the needed ones it
+    produces, plus its join key (None = all)."""
+    if needed is None:
+        return None
+    side = [n for n in needed if n in available]
+    if key not in side:
+        side.append(key)
+    return side
 
 
 def _lower(
@@ -274,9 +349,8 @@ def _lower(
     """Lower ``node`` into the currently-open pipeline.
 
     Returns the open pipeline's (source, stages); breakers close the open
-    pipeline and start a fresh one fed by its output.  The ``needed``
-    propagation replicates the eager executor's recursion case by case,
-    which is what makes an IR interpreter bit-identical to it.
+    pipeline and start a fresh one fed by its output.  ``needed`` is the
+    column list the node's consumer reads (None = all).
     """
     if isinstance(node, Scan):
         columns = tuple(needed) if needed is not None else None
@@ -299,25 +373,13 @@ def _lower(
         stages.append(LimitStage(node))
         return source, stages
     if isinstance(node, Join):
-        left_available = state.columns_of(node.left)
-        right_available = state.columns_of(node.right)
-        overlap = set(left_available) & set(right_available)
-        if overlap:
-            raise PlanError(
-                f"join sides share column names {sorted(overlap)}; "
-                "project/rename before joining"
-            )
-        if needed is None:
-            left_needed: Optional[List[str]] = None
-            right_needed: Optional[List[str]] = None
-        else:
-            left_needed = [n for n in needed if n in left_available]
-            right_needed = [n for n in needed if n in right_available]
-            if node.left_on not in left_needed:
-                left_needed.append(node.left_on)
-            if node.right_on not in right_needed:
-                right_needed.append(node.right_on)
-        # Build side first: the probe cannot start until it exists.
+        left_available = output_columns(node.left, state.catalog)
+        right_available = output_columns(node.right, state.catalog)
+        _joined(left_available, right_available)
+        left_needed = _side_needed(needed, left_available, node.left_on)
+        right_needed = _side_needed(needed, right_available, node.right_on)
+        # The build side gets the lower pid; the runner still scans the
+        # probe side first (see PipelineRunner).
         build_source, build_stages = _lower(state, node.right, right_needed)
         build_pid = state.close(build_source, build_stages, BuildSink(node))
         source, stages = _lower(state, node.left, left_needed)
@@ -325,13 +387,9 @@ def _lower(
         stages.append(ProbeStage(node, build_pid, keep))
         return source, stages
     if isinstance(node, SemiJoin):
-        left_available = state.columns_of(node.left)
-        if needed is None:
-            left_needed: Optional[List[str]] = None
-        else:
-            left_needed = [n for n in needed if n in left_available]
-            if node.left_on not in left_needed:
-                left_needed.append(node.left_on)
+        left_needed = _side_needed(
+            needed, output_columns(node.left, state.catalog), node.left_on
+        )
         # Only the key column of the right side is ever consulted.
         build_source, build_stages = _lower(
             state, node.right, [node.right_on]
@@ -363,64 +421,21 @@ def _lower(
     raise PlanError(f"cannot lower plan node {type(node).__name__}")
 
 
-def _catalog_columns_of(catalog: Dict[str, object]):
-    """An ``columns_of`` callable over a host-table catalog (mirror of
-    ``QueryExecutor._output_columns``)."""
-
-    def columns_of(plan: PlanNode) -> List[str]:
-        if isinstance(plan, Scan):
-            try:
-                table = catalog[plan.table]
-            except KeyError:
-                known = ", ".join(sorted(catalog))
-                raise PlanError(
-                    f"unknown table {plan.table!r}; catalog has: {known}"
-                )
-            return list(table.column_names)  # type: ignore[attr-defined]
-        if isinstance(plan, Project):
-            return [name for name, _expr in plan.outputs]
-        if isinstance(plan, GroupBy):
-            return list(plan.keys) + [a.name for a in plan.aggregates]
-        if isinstance(plan, Join):
-            left = columns_of(plan.left)
-            right = columns_of(plan.right)
-            overlap = set(left) & set(right)
-            if overlap:
-                raise PlanError(
-                    f"join sides share column names {sorted(overlap)}; "
-                    "project/rename before joining"
-                )
-            return left + right
-        if isinstance(plan, SemiJoin):
-            return columns_of(plan.left)
-        children = plan.children()
-        if len(children) == 1:
-            return columns_of(children[0])
-        raise PlanError(f"cannot derive output columns of {plan!r}")
-
-    return columns_of
-
-
 def lower_plan(
     plan: PlanNode,
-    catalog: Optional[Dict[str, object]] = None,
-    columns_of: Optional[Callable[[PlanNode], List[str]]] = None,
+    catalog: Dict[str, object],
     needed: Optional[Sequence[str]] = None,
 ) -> PipelineProgram:
     """Decompose ``plan`` into its pipeline program.
 
-    Column pruning needs plan output schemas: pass either a ``catalog``
-    (table name → object with ``column_names``) or a ready ``columns_of``
-    callable (the compiled runner passes the executor's own
-    ``_output_columns`` so both agree by construction).  ``needed``
-    seeds the top-level pruning (None = materialise everything, the
-    executor's root behaviour).
+    Column pruning needs plan output schemas, which come from
+    ``catalog`` (table name → object with ``column_names``).  ``needed``
+    seeds the top-level pruning (None = materialise everything).  Raises
+    :class:`PlanError` for a :class:`Limit` below anything but a
+    projection or another limit.
     """
-    if columns_of is None:
-        if catalog is None:
-            raise PlanError("lower_plan needs a catalog or a columns_of")
-        columns_of = _catalog_columns_of(catalog)
-    state = _Lowering(columns_of=columns_of)
+    _check_limits(plan)
+    state = _Lowering(catalog=catalog)
     source, stages = _lower(state, plan, needed)
     result_pid = state.close(source, stages, ResultSink())
     return PipelineProgram(tuple(state.pipelines), result_pid)

@@ -28,7 +28,7 @@ from repro.core.expr import col
 from repro.core.predicate import col_gt, col_lt
 from repro.gpu import Device, GTX_1080TI
 from repro.query import (
-    CompiledPlanRunner,
+    PipelineRunner,
     QueryExecutor,
     fusion_decision,
     lower_plan,
@@ -201,10 +201,11 @@ class TestFusedEvents:
             executor.execute(plan).table, executor.execute(plan).table
         )
 
-    def test_fusion_off_replays_eager_kernel_sequence(self, catalog):
+    @pytest.mark.parametrize("shape", list(_plans(catalog=None)))
+    def test_fusion_off_replays_eager_kernel_sequence(self, catalog, shape):
         """fusion="off" must be the eager executor byte for byte: same
         event sequence, only the library namespace differs."""
-        plan = _plans(catalog)["keyed_group_by"]
+        plan = _plans(catalog)[shape]
         eager = _handwritten()
         QueryExecutor(eager, catalog).execute(plan)
         compiled = _compiled("off")
@@ -232,7 +233,7 @@ class TestAutoMode:
         tpch = TpchGenerator(scale_factor=0.002, seed=11).generate()
         backend = _compiled("auto")
         executor = QueryExecutor(backend, tpch)
-        runner = CompiledPlanRunner(executor)
+        runner = PipelineRunner(executor)
         segment = lower_plan(q6.plan(), tpch).pipelines[0]
         decision = runner.decide(segment)
         assert decision.fuse
@@ -244,7 +245,7 @@ class TestAutoMode:
         the segment is fusable but auto mode keeps it eager."""
         backend = _compiled("auto")
         executor = QueryExecutor(backend, catalog)
-        runner = CompiledPlanRunner(executor)
+        runner = PipelineRunner(executor)
         plan = scan("orders").project([("k", col("o_key"))]).build()
         segment = lower_plan(plan, catalog).pipelines[0]
         assert segment.fusable

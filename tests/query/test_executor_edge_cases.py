@@ -224,3 +224,56 @@ class TestJoinAutoSelection:
             results[algorithm] = result.table
         assert results["nested_loop"].equals(results["merge"])
         assert results["merge"].equals(results["hash"])
+
+
+class TestLimitPlacement:
+    """A limit is applied when the result is materialised, so a limit
+    that feeds any operator but a projection or another limit is
+    refused at lowering instead of being silently ignored."""
+
+    @pytest.fixture
+    def orders(self):
+        n = 100
+        orders = Table("orders", [
+            Column.from_values("o_key", np.arange(n, dtype=np.int32)),
+            Column.from_values("o_cust", (np.arange(n) % 10).astype(np.int32)),
+            Column.from_values("o_total", np.arange(n, dtype=np.float64)),
+        ])
+        customers = Table("customers", [
+            Column.from_values("c_key", np.arange(10, dtype=np.int32)),
+        ])
+        return {"orders": orders, "customers": customers}
+
+    BACKENDS = ("handwritten", "compiled", "thrust")
+    #: One plan per operator a limit may not feed.
+    REFUSED = {
+        "aggregate": lambda: scan("orders").limit(5).aggregate(
+            [("n", "count", None)]),
+        "filter": lambda: scan("orders").limit(5).filter(
+            col_gt("o_total", 50.0)),
+        "join_probe": lambda: scan("orders").limit(5).join(
+            scan("customers"), "o_cust", "c_key"),
+        "join_build": lambda: scan("customers").join(
+            scan("orders").limit(5), "c_key", "o_cust"),
+        "order_by": lambda: scan("orders").limit(5).order_by(
+            "o_total", descending=True),
+    }
+
+    @pytest.mark.parametrize("shape", REFUSED)
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_limit_below_another_operator_is_refused(
+        self, orders, framework, backend_name, shape
+    ):
+        executor = QueryExecutor(framework.create(backend_name), orders)
+        with pytest.raises(PlanError, match="limit 5 feeds"):
+            executor.execute(self.REFUSED[shape]().build())
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_limit_under_projections_and_limits(
+        self, orders, framework, backend_name
+    ):
+        executor = QueryExecutor(framework.create(backend_name), orders)
+        result = executor.execute(
+            scan("orders").limit(5).project(["o_total"]).limit(3).build()
+        )
+        assert result.table.column("o_total").data.tolist() == [0.0, 1.0, 2.0]

@@ -266,7 +266,7 @@ class TestValidation:
             lower_plan(plan, catalog)
 
     def test_lower_plan_needs_schema_source(self):
-        with pytest.raises(PlanError, match="catalog or a columns_of"):
+        with pytest.raises(TypeError, match="catalog"):
             lower_plan(scan("orders").build())
 
 

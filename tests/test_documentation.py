@@ -4,6 +4,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -152,6 +153,14 @@ class TestCiWorkflow:
         assert "hetero-smoke-metrics" in ci_text
         # The hetero floors are gated inside the lane itself.
         assert "--require hetero" in ci_text
+
+    def test_benchmark_smoke_runs_the_trajectory_self_tests(self, ci_text):
+        start = ci_text.index("\n  benchmark-smoke:\n")
+        following = re.search(r"\n  [\w-]+:\n", ci_text[start + 1:])
+        job = ci_text[start:] if following is None else (
+            ci_text[start:start + 1 + following.start()]
+        )
+        assert "python -m pytest -q benchmarks/trajectory" in job
 
     def test_floor_gate_runs_after_the_smoke_lanes(self, ci_text):
         assert "benchmarks/check_floors.py" in ci_text

@@ -7,7 +7,7 @@ much of the cold-query penalty the cache recovers — the steady-state
 numbers the paper reports assume a warm cache.
 """
 
-from _util import out_dir, run_once
+from common import out_dir, run_once
 from repro.bench import grouped_keys, uniform_ints, write_report
 from repro.core import BoostComputeBackend, col_gt
 from repro.gpu import Device

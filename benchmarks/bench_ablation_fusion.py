@@ -19,7 +19,7 @@ on fusion.
 
 import numpy as np
 
-from _util import out_dir, run_once
+from common import out_dir, run_once
 from repro.bench import uniform_ints, write_report
 from repro.core import ArrayFireBackend, ThrustBackend, col_gt, conjunction
 from repro.gpu import Device

@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from _util import out_dir, run_once
+from common import out_dir, run_once
 from repro.bench import grouped_keys, uniform_ints, write_report
 from repro.core import col_gt, default_framework
 from repro.gpu import GTX_1080TI, Device

@@ -5,7 +5,7 @@ throughputs they imply, for the default device and the V100 preset.
 DESIGN.md points here for "why do these gaps have these magnitudes".
 """
 
-from _util import out_dir, run_once
+from common import out_dir, run_once
 from repro.bench import render_calibration_report, write_report
 from repro.gpu import GTX_1080TI, TESLA_V100
 

@@ -7,7 +7,7 @@ experiments with the cuDF-class backend in the mix: the join ladder and
 the grouped aggregation sweep.
 """
 
-from _util import out_dir, run_once
+from common import out_dir, run_once
 from repro.bench import fk_join_keys, grouped_keys, write_report
 from repro.core import default_framework
 from repro.errors import UnsupportedOperatorError

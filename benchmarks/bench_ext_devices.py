@@ -8,7 +8,7 @@ the big discrete parts; transfer-heavy single-pass queries let the
 integrated device's shared-memory link claw time back.
 """
 
-from _util import out_dir, run_once
+from common import out_dir, run_once
 from repro.bench import uniform_ints, write_report
 from repro.core import default_framework
 from repro.gpu import Device, GTX_1080TI, INTEGRATED_GPU, TESLA_V100

@@ -7,7 +7,7 @@ regime (every query re-uploads its scan columns) with a
 mixed Q6+Q1 workload.
 """
 
-from _util import out_dir, run_once
+from common import out_dir, run_once
 from repro.bench import write_report
 from repro.core import default_framework
 from repro.gpu import Device

@@ -6,7 +6,7 @@ to its query measurements: chained library calls move intermediates, and
 runtime-compiling libraries pay once per process.
 """
 
-from _util import ALL_GPU, out_dir, run_once
+from common import ALL_GPU, out_dir, run_once
 from repro.bench import write_report
 from repro.core import default_framework
 from repro.gpu import Device

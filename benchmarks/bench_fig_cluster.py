@@ -20,14 +20,13 @@ nodes):
   queue-depth-driven scale-up, asserting the cluster actually grew and
   beat the single node.
 
-Run directly with ``--smoke`` for the CI fast lane: a smaller replay of
+Run directly with ``--smoke`` for the CI smoke job: a smaller replay of
 both scenarios that writes ``benchmarks/out/fig_cluster_smoke.json``
-for ``check_floors.py --require cluster``.
+with the floor rows it enforces.
 """
 
 
-from _util import out_dir
-from common import write_smoke_json
+from common import finish_smoke, out_dir, smoke_main
 from repro.bench import write_report
 from repro.cluster import Cluster, ClusterConfig, ClusterServer
 from repro.core import default_framework
@@ -53,7 +52,7 @@ REPLICATION = 2
 KILLED_NODE = 1
 KILL_FRACTION = 0.3
 
-#: CI-gated floors (also embedded in the smoke artifact).
+#: Acceptance floors, asserted by the full runs and the smoke.
 P99_RATIO_CEILING = 2.0
 SCALEOUT_FLOOR = 1.5
 
@@ -238,8 +237,32 @@ SMOKE_REQUESTS = 96
 SMOKE_RATE = 20000.0
 
 
+def _floors(payload):
+    """Nothing lost under the node kill; saturated scale-out pays."""
+    failover, elastic = payload["failover"], payload["elastic"]
+    return [
+        (
+            "completed under node kill", failover["completed"], "==",
+            failover["total"],
+        ),
+        ("requests out of failover retries", failover["failed"], "==", 0),
+        ("requests lost and unreported", failover["unreported"], "==", 0),
+        ("failovers", failover["failovers"], ">=", 1),
+        ("failover oracle match", failover["oracle_matches"], "==", True),
+        (
+            "failure p99 / healthy p99", failover["ratio"], "<=",
+            P99_RATIO_CEILING,
+        ),
+        (
+            f"saturated scale-out to {elastic['nodes']} nodes",
+            elastic["speedup"], ">=", SCALEOUT_FLOOR,
+        ),
+        ("elastic scale-ups", elastic["scale_events"].count("scale_up"), ">=", 1),
+    ]
+
+
 def _smoke() -> int:
-    """CI fast lane: both scenarios at smoke scale, floors embedded."""
+    """CI smoke: both scenarios at smoke scale, floors enforced."""
     catalog = _catalog(SMOKE_SCALE_FACTOR)
     one = _run(
         catalog, 1, _workload(catalog, SMOKE_REQUESTS, SMOKE_RATE),
@@ -283,21 +306,14 @@ def _smoke() -> int:
                 if entry["event"].startswith("scale")
             ],
         },
-        "floors": {
-            "p99_ratio_ceiling": P99_RATIO_CEILING,
-            "scaleout_floor": SCALEOUT_FLOOR,
-        },
     }
-    path = write_smoke_json("fig_cluster_smoke.json", payload)
     print(
         f"cluster smoke: {failure.metrics.completed} completed under "
         f"node kill ({failure.failovers} failovers, p99 ratio "
-        f"{ratio:.2f}x), scale-out {speedup:.2f}x -> {path}"
+        f"{ratio:.2f}x), scale-out {speedup:.2f}x"
     )
-    return 0
+    return finish_smoke("fig_cluster_smoke.json", payload, _floors(payload))
 
 
 if __name__ == "__main__":
-    from common import smoke_main
-
     smoke_main(lambda args: _smoke(), doc=__doc__)

@@ -8,7 +8,7 @@ one JIT kernel (+ one ``where``), while the STL libraries launch one
 
 import numpy as np
 
-from _util import ALL_GPU, out_dir, run_once
+from common import ALL_GPU, out_dir, run_once
 from repro.bench import render_all, run_simple_sweep, uniform_ints, write_report
 from repro.core import col_gt, conjunction, disjunction
 

@@ -19,16 +19,15 @@ baseline (the paper's expert-tuned eager kernels):
   operator quality) as the win, across the TPC-H scale-factor sweep.
 
 Results are asserted bit-identical to the eager baseline in every
-configuration.  Run directly with ``--smoke`` for the CI fast lane:
+configuration.  Run directly with ``--smoke`` for the CI smoke job:
 kernel/e2e speedups for both queries saved to ``fig_fused_smoke.json``
-under the report directory (the benchmark-floor gate parses it).
+under the report directory, with the floor rows it enforces.
 """
 
 
 import numpy as np
 
-from _util import SCALE_FACTORS, out_dir, run_once
-from common import write_smoke_json
+from common import SCALE_FACTORS, failed_floors, finish_smoke, out_dir, run_once, smoke_main
 from repro.bench import write_report
 from repro.core import CompiledBackend, default_framework
 from repro.gpu import GTX_1080TI, Device
@@ -90,6 +89,27 @@ def _measure(catalog, plan):
     return eager, fused
 
 
+def _query_row(eager, fused):
+    eager_kernel = eager.report.breakdown()["kernel"]
+    fused_kernel = fused.report.breakdown()["kernel"]
+    return {
+        "kernel_ms_eager": eager_kernel * 1e3,
+        "kernel_ms_fused": fused_kernel * 1e3,
+        "kernel_speedup": eager_kernel / fused_kernel,
+        "e2e_speedup": (
+            eager.report.simulated_seconds / fused.report.simulated_seconds
+        ),
+    }
+
+
+def _floors(payload):
+    """The >= 2x kernel-time floor, one row per query."""
+    return [
+        (f"{name} kernel speedup", row["kernel_speedup"], ">=", FUSED_FLOOR)
+        for name, row in payload["queries"].items()
+    ]
+
+
 def test_fig_fused_pipeline(benchmark):
     def sweep():
         rows = []
@@ -108,26 +128,22 @@ def test_fig_fused_pipeline(benchmark):
         f"{'SF':>6}  {'query':>6}  {'eager krn ms':>13}  "
         f"{'fused krn ms':>13}  {'krn speedup':>12}  {'e2e speedup':>12}",
     ]
-    speedups = {}
+    payloads = {sf: {"queries": {}} for sf in FLOOR_SCALE_FACTORS}
     for scale_factor, name, eager, fused in rows:
-        eager_kernel = eager.report.breakdown()["kernel"]
-        fused_kernel = fused.report.breakdown()["kernel"]
-        kernel_speedup = eager_kernel / fused_kernel
-        e2e_speedup = (
-            eager.report.simulated_seconds / fused.report.simulated_seconds
-        )
-        speedups[(scale_factor, name)] = kernel_speedup
+        row = _query_row(eager, fused)
+        payloads[scale_factor]["queries"][name] = row
         lines.append(
-            f"{scale_factor:6.2f}  {name:>6}  {eager_kernel * 1e3:13.4f}  "
-            f"{fused_kernel * 1e3:13.4f}  {kernel_speedup:11.2f}x  "
-            f"{e2e_speedup:11.2f}x"
+            f"{scale_factor:6.2f}  {name:>6}  {row['kernel_ms_eager']:13.4f}  "
+            f"{row['kernel_ms_fused']:13.4f}  {row['kernel_speedup']:11.2f}x  "
+            f"{row['e2e_speedup']:11.2f}x"
         )
         _assert_identical(
             fused.table, eager.table, (scale_factor, name)
         )
     floor_line = ", ".join(
-        f"{name} @ SF {sf:.2f}: {value:.2f}x"
-        for (sf, name), value in speedups.items()
+        f"{name} @ SF {sf:.2f}: {row['kernel_speedup']:.2f}x"
+        for sf, payload in payloads.items()
+        for name, row in payload["queries"].items()
     )
     lines.append(f"-- kernel-time floor {FUSED_FLOOR:.1f}x: {floor_line} --")
     text = "\n".join(lines)
@@ -136,8 +152,8 @@ def test_fig_fused_pipeline(benchmark):
 
     # Acceptance: >= 2x kernel time over the expert eager baseline on
     # both queries at both scale factors.
-    for key, value in speedups.items():
-        assert value >= FUSED_FLOOR, (key, value)
+    for scale_factor, payload in payloads.items():
+        assert failed_floors(_floors(payload)) == [], scale_factor
 
 
 def test_fig_fused_ablation(benchmark):
@@ -191,40 +207,23 @@ def test_fig_fused_ablation(benchmark):
 
 
 def _smoke() -> int:
-    """CI fast-lane: warm Q1/Q6 speedups at one SF, metrics as JSON."""
+    """CI smoke: warm Q1/Q6 speedups at one SF, floors enforced."""
     catalog = _catalog(SMOKE_SCALE_FACTOR)
-    payload = {
-        "floor": FUSED_FLOOR,
-        "scale_factor": SMOKE_SCALE_FACTOR,
-        "queries": {},
-    }
+    payload = {"scale_factor": SMOKE_SCALE_FACTOR, "queries": {}}
     for name, plan in _plans().items():
         eager, fused = _measure(catalog, plan)
         _assert_identical(fused.table, eager.table, name)
-        eager_kernel = eager.report.breakdown()["kernel"]
-        fused_kernel = fused.report.breakdown()["kernel"]
-        payload["queries"][name] = {
-            "kernel_ms_eager": eager_kernel * 1e3,
-            "kernel_ms_fused": fused_kernel * 1e3,
-            "kernel_speedup": eager_kernel / fused_kernel,
-            "e2e_speedup": (
-                eager.report.simulated_seconds
-                / fused.report.simulated_seconds
-            ),
-        }
-    path = write_smoke_json("fig_fused_smoke.json", payload)
+        payload["queries"][name] = _query_row(eager, fused)
     summary = ", ".join(
         f"{name} {row['kernel_speedup']:.2f}x"
         for name, row in payload["queries"].items()
     )
     print(
         f"fused smoke (SF {SMOKE_SCALE_FACTOR}): {summary} "
-        f"(floor {FUSED_FLOOR:.1f}x) -> {path}"
+        f"(floor {FUSED_FLOOR:.1f}x)"
     )
-    return 0
+    return finish_smoke("fig_fused_smoke.json", payload, _floors(payload))
 
 
 if __name__ == "__main__":
-    from common import smoke_main
-
     smoke_main(lambda args: _smoke(), doc=__doc__)

@@ -6,7 +6,7 @@ uses single-pass hash aggregation, which is why it wins by a widening
 margin — the sort dominates the libraries' time.
 """
 
-from _util import ALL_GPU, out_dir, run_once
+from common import ALL_GPU, out_dir, run_once
 from repro.bench import (
     grouped_keys,
     render_all,

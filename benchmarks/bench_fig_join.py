@@ -9,7 +9,7 @@ Two views:
   express** (the paper's headline "unused tuning potential").
 """
 
-from _util import ALL_GPU, out_dir, run_once
+from common import ALL_GPU, out_dir, run_once
 from repro.bench import (
     fk_join_keys,
     render_all,

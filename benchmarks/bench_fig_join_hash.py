@@ -14,7 +14,7 @@ handwritten backend — the acceptance numbers for the hash-join subsystem
 
 import numpy as np
 
-from _util import SCALE_FACTORS, out_dir, run_once
+from common import SCALE_FACTORS, out_dir, run_once
 from repro.bench import fk_join_keys, write_report
 from repro.core import default_framework
 from repro.gpu import Device

@@ -17,7 +17,7 @@ start to dominate).
 
 import numpy as np
 
-from _util import out_dir, run_once
+from common import out_dir, run_once
 from repro.bench import write_report
 from repro.core import default_framework
 from repro.core.expr import col

@@ -5,7 +5,7 @@ The paper studies these because they materialise selection/projection
 results ("commonly used for materializing final values").
 """
 
-from _util import ALL_GPU, out_dir, run_once
+from common import ALL_GPU, out_dir, run_once
 from repro.bench import (
     render_series,
     run_simple_sweep,

@@ -4,7 +4,7 @@ The simplest operator: every library has full support (Table II), so the
 figure isolates pure kernel-tier efficiency plus per-launch overheads.
 """
 
-from _util import ALL_GPU, out_dir, run_once
+from common import ALL_GPU, out_dir, run_once
 from repro.bench import (
     render_all,
     run_simple_sweep,

@@ -17,16 +17,16 @@ Two experiments on the ``repro.distributed`` layer, both deterministic
   (broadcast), large builds shuffle a 1/N slice each; the chosen mode
   must flip exactly once as the build side grows (asserted).
 
-Run directly with ``--smoke`` for the CI fast lane: a 2-device Q6+Q3 run
-differentially checked against the serial executor, metrics saved to
-``fig_scaleout_smoke.json`` under the report directory.
+Run directly with ``--smoke`` for the CI smoke job: a 2-device Q1/Q6/Q3
+run differentially checked against the serial executor, metrics and the
+floor rows it enforces saved to ``fig_scaleout_smoke.json`` under the
+report directory.
 """
 
 
 import numpy as np
 
-from _util import out_dir, run_once
-from common import write_smoke_json
+from common import failed_floors, finish_smoke, out_dir, run_once, smoke_main
 from repro.bench import write_report
 from repro.core import default_framework
 from repro.distributed import (
@@ -46,8 +46,11 @@ DEVICE_COUNTS = (1, 2, 4, 8)
 PARTITION = "hash:l_orderkey"
 BACKEND = "thrust"
 
-#: Acceptance floor: Q6 speedup at 4 devices.
+#: Acceptance floors: Q6 speedup at >= 4 devices (the full sweep) and at
+#: 2-3 devices (the smoke measures ~1.35x on 2).  Every other query, and
+#: Q6 on fewer devices, must still be no slower than one device.
 Q6_FLOOR_AT_4 = 2.5
+Q6_FLOOR_AT_2 = 1.2
 
 
 def _catalog(scale_factor=SCALE_FACTOR):
@@ -69,6 +72,24 @@ def _run(catalog, plan, devices, partition=PARTITION):
     group = DeviceGroup.of_size(devices)
     executor = DistributedExecutor(group, BACKEND, catalog, partition)
     return executor.execute(plan)
+
+
+def _speedup_floor(name, devices):
+    if name != "Q6" or devices < 2:
+        return 1.0
+    return Q6_FLOOR_AT_4 if devices >= 4 else Q6_FLOOR_AT_2
+
+
+def _floors(payload):
+    """One speedup-over-one-device row per query."""
+    devices = payload["devices"]
+    return [
+        (
+            f"{name} speedup on {devices} devices", row["speedup"], ">=",
+            _speedup_floor(name, devices),
+        )
+        for name, row in payload["queries"].items()
+    ]
 
 
 def test_fig_scaleout_speedup(benchmark):
@@ -114,9 +135,17 @@ def test_fig_scaleout_speedup(benchmark):
     for name, plan in plans.items():
         assert rows[name][1].table.equals(_serial_table(catalog, plan)), name
         assert rows[name][1].report.strategy == "single_device"
-    # Acceptance: Q6 reaches the speedup floor at 4 devices, and curves
-    # are monotone in the device count for the scan-bound queries.
-    assert speedups[("Q6", 4)] >= Q6_FLOOR_AT_4, speedups[("Q6", 4)]
+    # Acceptance: Q6 reaches its speedup floor at every device count
+    # (2.5x from 4 devices on), no query is slower than one device, and
+    # curves are monotone in the device count for the scan-bound queries.
+    for n in DEVICE_COUNTS:
+        payload = {
+            "devices": n,
+            "queries": {
+                name: {"speedup": speedups[(name, n)]} for name in plans
+            },
+        }
+        assert failed_floors(_floors(payload)) == [], n
     for name in ("Q1", "Q6"):
         for lo, hi in zip(DEVICE_COUNTS, DEVICE_COUNTS[1:]):
             assert speedups[(name, hi)] > speedups[(name, lo)], (name, hi)
@@ -197,10 +226,10 @@ def test_fig_scaleout_crossover(benchmark):
 
 
 def _smoke(devices: int) -> int:
-    """CI fast-lane: tiny differential scale-out run, metrics as JSON."""
+    """CI smoke: tiny differential scale-out run, floors enforced."""
     catalog = _catalog(0.01)
     plans = _plans(catalog)
-    payload = {}
+    payload = {"devices": devices, "queries": {}}
     for name, plan in plans.items():
         oracle = _serial_table(catalog, plan)
         base = _run(catalog, plan, 1)
@@ -215,8 +244,7 @@ def _smoke(devices: int) -> int:
             else:
                 assert (got == want).all(), (name, column)
         assert base.table.equals(oracle), name
-        payload[name] = {
-            "devices": devices,
+        payload["queries"][name] = {
             "strategy": multi.report.strategy,
             "makespan_ms_1": base.report.simulated_ms,
             "makespan_ms_n": multi.report.simulated_ms,
@@ -227,17 +255,17 @@ def _smoke(devices: int) -> int:
             "merge_mode": multi.report.merge_mode,
             "exchange_bytes": multi.report.exchange_bytes,
         }
-    path = write_smoke_json("fig_scaleout_smoke.json", payload)
     summary = ", ".join(
-        f"{name} {row['speedup']:.2f}x" for name, row in payload.items()
+        f"{name} {row['speedup']:.2f}x"
+        for name, row in payload["queries"].items()
     )
-    print(f"scaleout smoke ({devices} devices): {summary} -> {path}")
-    return 0
+    print(f"scaleout smoke ({devices} devices): {summary}")
+    return finish_smoke(
+        "fig_scaleout_smoke.json", payload, _floors(payload)
+    )
 
 
 if __name__ == "__main__":
-    from common import smoke_main
-
     smoke_main(
         lambda args: _smoke(args.devices),
         doc=__doc__,

@@ -9,7 +9,7 @@ Expected shape: handwritten < ArrayFire (fused ``where``) < Thrust
 (transform/scan/scatter chain) < Boost.Compute (same chain at OpenCL tier).
 """
 
-from _util import ALL_GPU, out_dir, run_once
+from common import ALL_GPU, out_dir, run_once
 from repro.bench import (
     render_all,
     render_bar_chart,

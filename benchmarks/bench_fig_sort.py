@@ -5,7 +5,7 @@ Radix-sort shootout: Thrust (8-bit digits, CUDA tier) vs. Boost.Compute
 digits + out-of-place copy-out) vs. a tuned handwritten sort.
 """
 
-from _util import ALL_GPU, out_dir, run_once
+from common import ALL_GPU, out_dir, run_once
 from repro.bench import (
     render_all,
     run_simple_sweep,

@@ -12,8 +12,7 @@ and 1/8 of the catalog (so the data is 2-8x device memory) and compares:
   compressed chunks promoted over PCIe, decoded on device, pressure-
   spilled down-tier under memory pressure.
 
-Acceptance floors (also enforced on the smoke artifact by
-``check_floors.py``):
+Acceptance floors (the same rows are enforced on the smoke run):
 
 * **bit-correctness** — every cell matches the in-memory oracle (exact;
   float aggregates to 1e-12 when chunked recombination reorders sums),
@@ -25,16 +24,16 @@ Acceptance floors (also enforced on the smoke artifact by
   path *wins* outright at light pressure where transfer time dominates
   and chunking has not yet fragmented the scans.
 
-Run directly with ``--smoke`` for the CI fast lane: a Q1/Q6 mini-grid
-saved to ``fig_tiered_smoke.json`` under the report directory.
+Run directly with ``--smoke`` for the CI smoke job: a Q1/Q6 mini-grid
+and the floor rows enforced on it saved to ``fig_tiered_smoke.json``
+under the report directory.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from _util import out_dir, run_once
-from common import write_smoke_json
+from common import failed_floors, finish_smoke, out_dir, run_once, smoke_main
 from repro.bench import write_report
 from repro.core import HandwrittenBackend
 from repro.gpu import GTX_1080TI, Device
@@ -170,24 +169,38 @@ def _sweep(catalog, multiples, query_names):
     return cells
 
 
-def _assert_floors(cells):
+def _floors(payload):
+    """Four rows per cell, the light-pressure win, deep-pressure spills."""
+    cells = payload["cells"]
+    rows = []
     for cell in cells:
-        key = (cell["query"], cell["multiple"])
-        assert cell["oracle_match"], key
-        assert cell["gain"] >= GAIN_FLOOR, (key, cell["gain"])
-        assert cell["promotes"] > 0, key
-        relative = cell["tiered_ms"] / cell["baseline_ms"]
-        assert relative <= RELATIVE_CEILING, (key, relative)
-    light = [c for c in cells if c["multiple"] == min(
-        c["multiple"] for c in cells
-    )]
-    best = max(c["speedup"] for c in light)
-    assert best >= LIGHT_PRESSURE_FLOOR, best
-    # Deep pressure really exercises the spill machinery.
+        key = f"{cell['query']}@{cell['multiple']}x"
+        rows += [
+            (f"{key} oracle match", cell["oracle_match"], "==", True),
+            (f"{key} bandwidth gain", cell["gain"], ">=", GAIN_FLOOR),
+            (f"{key} promotes", cell["promotes"], ">=", 1),
+            (
+                f"{key} tiered/baseline runtime",
+                cell["tiered_ms"] / cell["baseline_ms"], "<=",
+                RELATIVE_CEILING,
+            ),
+        ]
+    lightest = min(c["multiple"] for c in cells)
     deepest = max(c["multiple"] for c in cells)
-    assert any(
-        c["spills"] > 0 for c in cells if c["multiple"] == deepest
-    )
+    rows += [
+        (
+            f"best speedup at {lightest}x",
+            max(c["speedup"] for c in cells if c["multiple"] == lightest),
+            ">=", LIGHT_PRESSURE_FLOOR,
+        ),
+        # Deep pressure really exercises the spill machinery.
+        (
+            f"spills at {deepest}x",
+            sum(c["spills"] for c in cells if c["multiple"] == deepest),
+            ">=", 1,
+        ),
+    ]
+    return rows
 
 
 def test_fig_tiered(benchmark):
@@ -220,32 +233,22 @@ def test_fig_tiered(benchmark):
     print("\n" + text)
     write_report("fig_tiered", text, directory=out_dir())
 
-    _assert_floors(cells)
+    assert failed_floors(_floors({"cells": cells})) == []
 
 
 def _smoke() -> int:
-    """CI fast-lane: the Q1/Q6 mini-grid, metrics as JSON."""
+    """CI smoke: the Q1/Q6 mini-grid, floors enforced."""
     catalog = _catalog()
     cells = _sweep(catalog, SMOKE_MULTIPLES, SMOKE_QUERIES)
-    _assert_floors(cells)
-    payload = {
-        "floor": GAIN_FLOOR,
-        "relative_ceiling": RELATIVE_CEILING,
-        "light_pressure_floor": LIGHT_PRESSURE_FLOOR,
-        "scale_factor": SCALE_FACTOR,
-        "cells": cells,
-    }
-    path = write_smoke_json("fig_tiered_smoke.json", payload)
+    payload = {"scale_factor": SCALE_FACTOR, "cells": cells}
     summary = ", ".join(
         f"{c['query']}@{c['multiple']}x {c['speedup']:.2f}x/"
         f"gain {c['gain']:.2f}x"
         for c in cells
     )
-    print(f"tiered smoke (SF {SCALE_FACTOR}): {summary} -> {path}")
-    return 0
+    print(f"tiered smoke (SF {SCALE_FACTOR}): {summary}")
+    return finish_smoke("fig_tiered_smoke.json", payload, _floors(payload))
 
 
 if __name__ == "__main__":
-    from common import smoke_main
-
     smoke_main(lambda args: _smoke(), doc=__doc__)

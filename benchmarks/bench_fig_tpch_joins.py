@@ -7,7 +7,7 @@ handwritten hash join runs the *same logical plan* orders of magnitude
 faster once the joins dominate.
 """
 
-from _util import SCALE_FACTORS, out_dir, run_once
+from common import SCALE_FACTORS, out_dir, run_once
 from repro.bench import write_report
 from repro.core import default_framework
 from repro.errors import UnsupportedOperatorError

@@ -6,7 +6,7 @@ keys.  The library realization re-sorts per reduce_by_key call (the
 handwritten backend's hash aggregation never sorts.
 """
 
-from _util import ALL_GPU, SCALE_FACTORS, out_dir, run_once
+from common import ALL_GPU, SCALE_FACTORS, out_dir, run_once
 from repro.bench import write_report
 from repro.core import default_framework
 from repro.gpu import Device

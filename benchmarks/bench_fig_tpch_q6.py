@@ -8,7 +8,7 @@ ArrayFire JIT) the paper attributes to runtime compilation.
 
 import numpy as np
 
-from _util import ALL_GPU, SCALE_FACTORS, out_dir, run_once
+from common import ALL_GPU, SCALE_FACTORS, out_dir, run_once
 from repro.bench import write_report
 from repro.core import default_framework
 from repro.gpu import Device

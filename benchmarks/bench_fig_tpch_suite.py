@@ -15,21 +15,21 @@ Acceptance floors:
   floats) on both backends;
 * the compiled backend is never slower than the eager baseline on any
   query (``RATIO_CEILING``);
-* in the smoke artifact, each query's warm end-to-end time stays under a
-  per-query ceiling (``CEILING_MS``) — the times are *simulated* and
-  deterministic, so absolute ceilings are stable gates, not flaky ones.
+* each query's warm end-to-end time stays under a per-query ceiling
+  (``CEILING_MS``) — the times are *simulated* and deterministic, so
+  absolute ceilings are stable gates, not flaky ones;
+* every registered query is in the run.
 
 Run under pytest for the SF sweep, or directly with ``--smoke`` for the
-CI fast lane: per-query warm runtimes and oracle verdicts saved to
-``fig_tpch_suite_smoke.json`` (parsed by ``check_floors.py``).
+CI smoke job: per-query warm runtimes, oracle verdicts and the floor
+rows enforced on them saved to ``fig_tpch_suite_smoke.json``.
 """
 
 import inspect
 
 import numpy as np
 
-from _util import out_dir, run_once
-from common import write_smoke_json
+from common import failed_floors, finish_smoke, out_dir, run_once, smoke_main
 from repro.bench import write_report
 from repro.core import CompiledBackend, default_framework
 from repro.gpu import GTX_1080TI, Device
@@ -44,8 +44,9 @@ SWEEP_SCALE_FACTORS = (0.002, 0.005)
 #: Compiled may never be slower than the eager baseline on any query.
 RATIO_CEILING = 1.0
 
-#: Per-query ceilings (ms, warm, handwritten, SF 0.005) for the smoke
-#: gate — roughly 2x the measured simulated time, which is deterministic.
+#: Per-query ceilings (ms, warm, handwritten, SF 0.005) — roughly 2x
+#: the measured simulated time at the smoke's scale, which is
+#: deterministic.  Smaller sweep scale factors sit further below them.
 CEILING_MS = {
     "Q1": 1.1, "Q3": 1.1, "Q4": 0.6, "Q5": 1.2, "Q6": 0.35,
     "Q7": 1.6, "Q8": 2.0, "Q9": 1.9, "Q10": 0.7, "Q11": 0.7,
@@ -131,50 +132,10 @@ def _run_suite(catalog):
     return results
 
 
-def test_fig_tpch_suite(benchmark):
-    def sweep():
-        return [
-            (scale_factor, _catalog(scale_factor))
-            for scale_factor in SWEEP_SCALE_FACTORS
-        ]
-
-    catalogs = run_once(benchmark, sweep)
-
-    lines = [
-        "== Fig. TPC-H suite: all 16 queries end to end "
-        "(SQL-frontend queries from SQL text), warm ==",
-        f"{'SF':>6}  {'query':>6}  {'eager ms':>9}  {'fused ms':>9}  "
-        f"{'ratio':>6}  {'rows':>6}  {'source':>7}",
-    ]
-    for scale_factor, catalog in catalogs:
-        for name, (eager, fused) in _run_suite(catalog).items():
-            expected = _reference_of(name, catalog)
-            assert _matches(eager.table, expected), (scale_factor, name)
-            assert _matches(fused.table, expected), (scale_factor, name)
-            eager_ms = eager.report.simulated_seconds * 1e3
-            fused_ms = fused.report.simulated_seconds * 1e3
-            ratio = fused_ms / eager_ms
-            source = "sql" if name in SQL_QUERIES else "builder"
-            lines.append(
-                f"{scale_factor:6.3f}  {name:>6}  {eager_ms:9.4f}  "
-                f"{fused_ms:9.4f}  {ratio:6.2f}  "
-                f"{eager.table.num_rows:6d}  {source:>7}"
-            )
-            # Acceptance: fusion never loses to the eager chain.
-            assert ratio <= RATIO_CEILING, (scale_factor, name, ratio)
-    text = "\n".join(lines)
-    print("\n" + text)
-    write_report("fig_tpch_suite", text, directory=out_dir())
-
-
-def _smoke() -> int:
-    """CI fast lane: the full suite once, per-query metrics as JSON."""
-    catalog = _catalog(SMOKE_SCALE_FACTOR)
-    payload = {
-        "scale_factor": SMOKE_SCALE_FACTOR,
-        "ratio_ceiling": RATIO_CEILING,
-        "queries": {},
-    }
+def _payload(scale_factor):
+    """Per-query warm times and oracle verdicts for the whole suite."""
+    catalog = _catalog(scale_factor)
+    payload = {"scale_factor": scale_factor, "queries": {}}
     for name, (eager, fused) in _run_suite(catalog).items():
         expected = _reference_of(name, catalog)
         eager_ms = eager.report.simulated_seconds * 1e3
@@ -189,25 +150,71 @@ def _smoke() -> int:
                 _matches(eager.table, expected)
                 and _matches(fused.table, expected)
             ),
-            "ceiling_ms": CEILING_MS[name],
         }
-    path = write_smoke_json("fig_tpch_suite_smoke.json", payload)
-    worst = max(
-        payload["queries"].items(),
-        key=lambda kv: kv[1]["warm_ms"] / kv[1]["ceiling_ms"],
+    return payload
+
+
+def _floors(payload):
+    """Suite size, then oracle, ceiling and fusion rows per query."""
+    queries = payload["queries"]
+    rows = [("queries run", len(queries), ">=", len(ALL_QUERIES))]
+    for name, row in queries.items():
+        rows += [
+            (f"{name} oracle match", row["oracle_match"], "==", True),
+            (f"{name} warm ms", row["warm_ms"], "<=", CEILING_MS[name]),
+            (
+                f"{name} compiled/eager ratio", row["ratio"], "<=",
+                RATIO_CEILING,
+            ),
+        ]
+    return rows
+
+
+def test_fig_tpch_suite(benchmark):
+    payloads = run_once(
+        benchmark,
+        lambda: [_payload(scale_factor) for scale_factor in SWEEP_SCALE_FACTORS],
     )
+
+    lines = [
+        "== Fig. TPC-H suite: all 16 queries end to end "
+        "(SQL-frontend queries from SQL text), warm ==",
+        f"{'SF':>6}  {'query':>6}  {'eager ms':>9}  {'fused ms':>9}  "
+        f"{'ratio':>6}  {'rows':>6}  {'source':>7}",
+    ]
+    for payload in payloads:
+        for name, row in payload["queries"].items():
+            lines.append(
+                f"{payload['scale_factor']:6.3f}  {name:>6}  "
+                f"{row['warm_ms']:9.4f}  {row['compiled_ms']:9.4f}  "
+                f"{row['ratio']:6.2f}  {row['rows']:6d}  "
+                f"{'sql' if row['from_sql'] else 'builder':>7}"
+            )
+    text = "\n".join(lines)
+    print("\n" + text)
+    write_report("fig_tpch_suite", text, directory=out_dir())
+
+    # Acceptance: every query matches its oracle on both backends, stays
+    # under its ceiling, and fusion never loses to the eager chain.
+    for payload in payloads:
+        assert failed_floors(_floors(payload)) == [], payload["scale_factor"]
+
+
+def _smoke() -> int:
+    """CI smoke: the full suite once, floors enforced."""
+    payload = _payload(SMOKE_SCALE_FACTOR)
+    queries = payload["queries"]
+    worst = max(queries, key=lambda q: queries[q]["warm_ms"] / CEILING_MS[q])
     print(
-        f"tpch suite smoke (SF {SMOKE_SCALE_FACTOR}): "
-        f"{len(payload['queries'])} queries, "
-        f"{sum(r['from_sql'] for r in payload['queries'].values())} from "
-        f"SQL text; tightest ceiling {worst[0]} "
-        f"{worst[1]['warm_ms']:.3f}/{worst[1]['ceiling_ms']:.2f} ms "
-        f"-> {path}"
+        f"tpch suite smoke (SF {SMOKE_SCALE_FACTOR}): {len(queries)} "
+        f"queries, {sum(r['from_sql'] for r in queries.values())} from "
+        f"SQL text; tightest ceiling {worst} "
+        f"{queries[worst]['warm_ms']:.3f}/{CEILING_MS[worst]:.2f} ms"
     )
-    return 0
+    return finish_smoke(
+        "fig_tpch_suite_smoke.json", payload, _floors(payload)
+    )
 
 
 if __name__ == "__main__":
-    from common import smoke_main
-
     smoke_main(lambda args: _smoke(), doc=__doc__)

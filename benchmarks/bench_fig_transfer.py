@@ -7,7 +7,7 @@ operator time, per input size.  Small inputs are transfer-dominated,
 which is why GPU offloading only pays off beyond a size threshold.
 """
 
-from _util import out_dir, run_once
+from common import out_dir, run_once
 from repro.bench import selection_workload, write_report
 from repro.core import ThrustBackend, col_lt
 from repro.gpu import Device

@@ -5,7 +5,7 @@ Regenerates the survey table, the category histogram the paper quotes
 selection rationale.
 """
 
-from _util import out_dir, run_once
+from common import out_dir, run_once
 from repro.bench import write_report
 from repro.survey import (
     render_category_histogram,

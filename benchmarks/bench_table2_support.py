@@ -4,7 +4,7 @@ Regenerates the support matrix from the live backends and asserts it
 matches the paper cell-for-cell (support levels).
 """
 
-from _util import LIBRARIES, out_dir, run_once
+from common import LIBRARIES, out_dir, run_once
 from repro.bench import write_report
 from repro.core import compare_with_paper, default_framework, render_table_ii
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from _util import SCALE_FACTORS
+from common import SCALE_FACTORS
 from repro.tpch import TpchGenerator
 
 

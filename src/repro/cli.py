@@ -8,9 +8,9 @@ Commands:
 * ``tpch`` — run one TPC-H query on every backend and compare;
 * ``serve`` — replay a multi-tenant query stream through the serving
   layer and report throughput / latency percentiles / cache hit rates.
-  ``--nodes N`` serves on a replicated multi-node cluster instead
-  (``--replicas`` copies per shard, ``--kill-node-at`` arms a mid-run
-  node death to demonstrate failover).
+  Serving scales by nodes: ``--nodes N`` serves on a replicated
+  cluster of one-device nodes instead (``--replicas`` copies per shard,
+  ``--kill-node-at`` arms a mid-run node death to demonstrate failover).
 """
 
 from __future__ import annotations
@@ -118,34 +118,32 @@ def parse_mem_size(text: str) -> int:
     return int(value * multiplier)
 
 
-def _make_device(args: argparse.Namespace) -> Device:
-    """A device honouring the tpch command's --pool / --device-mem flags."""
+def _device_spec(args: argparse.Namespace):
+    """The device spec honouring --device-mem."""
     import dataclasses
 
     from repro.gpu import GTX_1080TI
 
-    spec = GTX_1080TI
-    if args.device_mem is not None:
-        spec = dataclasses.replace(spec, memory_bytes=args.device_mem)
-    allocator = "pool" if args.pool else "null"
-    return Device(spec, allocator=allocator)
+    if args.device_mem is None:
+        return GTX_1080TI
+    return dataclasses.replace(GTX_1080TI, memory_bytes=args.device_mem)
+
+
+def _make_device(args: argparse.Namespace) -> Device:
+    """A device honouring the --pool / --device-mem flags."""
+    return Device(_device_spec(args), allocator="pool" if args.pool else "null")
 
 
 def _make_group(args: argparse.Namespace):
     """A device group honouring --devices / --interconnect / --pool."""
-    import dataclasses
+    from repro.gpu import NVLINK_P2P, PCIE_HOST_BRIDGE, DeviceGroup
 
-    from repro.gpu import GTX_1080TI, NVLINK_P2P, PCIE_HOST_BRIDGE, DeviceGroup
-
-    spec = GTX_1080TI
-    if args.device_mem is not None:
-        spec = dataclasses.replace(spec, memory_bytes=args.device_mem)
     interconnect = (
         NVLINK_P2P if args.interconnect == "nvlink" else PCIE_HOST_BRIDGE
     )
     return DeviceGroup.of_size(
         args.devices,
-        spec,
+        _device_spec(args),
         interconnect=interconnect,
         allocator="pool" if args.pool else "null",
     )
@@ -344,42 +342,6 @@ def _query_specs(names: Sequence[str], catalog) -> list:
     return specs
 
 
-def _serve_group(args: argparse.Namespace, catalog, workload, config) -> int:
-    """Serve the workload on one replica server per device."""
-    from repro.distributed import GroupServer, write_group_chrome_trace
-    from repro.serve import format_metrics, metrics_report
-
-    group = _make_group(args)
-    with GroupServer(group, args.backend, catalog, config) as server:
-        report = server.run(workload)
-    print()
-    for line in format_metrics(report.metrics):
-        print(line)
-    print(
-        "device placement   "
-        + " | ".join(
-            f"gpu{i}: {sum(1 for r in report.records if report.assignment[r.tenant] == i)} reqs"
-            for i in range(len(group))
-        )
-    )
-    if args.json is not None:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(metrics_report(report.metrics, report.records),
-                      handle, indent=1)
-            handle.write("\n")
-        print(f"wrote metrics to {args.json}")
-    if args.trace is not None:
-        write_group_chrome_trace(args.trace, group)
-        events = sum(len(d.profiler.events) for d in group)
-        print(
-            f"wrote {events} events across {len(group)} device rows to "
-            f"{args.trace} (open at chrome://tracing or ui.perfetto.dev)"
-        )
-    return 0
-
-
 def _serve_cluster(args: argparse.Namespace, catalog, workload) -> int:
     """Serve the workload on a replicated multi-node cluster."""
     from repro.cluster import Cluster, ClusterConfig, ClusterServer
@@ -390,10 +352,12 @@ def _serve_cluster(args: argparse.Namespace, catalog, workload) -> int:
         num_streams=args.streams,
         plan_cache=args.cache in ("both", "plan"),
         result_cache=args.cache in ("both", "result"),
+        admission_budget_bytes=args.admission_budget,
     )
     cluster = Cluster(
         args.nodes, catalog, args.backend,
-        devices_per_node=args.devices, replication=args.replicas,
+        allocator="pool" if args.pool else "null",
+        device_spec=_device_spec(args), replication=args.replicas,
     )
     if args.kill_node_at is not None:
         cluster.fail_node_at(0, args.kill_node_at)
@@ -444,6 +408,17 @@ def _serve_cluster(args: argparse.Namespace, catalog, workload) -> int:
             json.dump(payload, handle, indent=1)
             handle.write("\n")
         print(f"wrote metrics to {args.json}")
+    if args.trace is not None:
+        from repro.distributed import write_group_chrome_trace
+        from repro.gpu import DeviceGroup
+
+        leads = DeviceGroup([node.lead for node in cluster.nodes])
+        write_group_chrome_trace(args.trace, leads)
+        events = sum(len(lead.profiler.events) for lead in leads)
+        print(
+            f"wrote {events} events across {len(leads)} node rows to "
+            f"{args.trace} (open at chrome://tracing or ui.perfetto.dev)"
+        )
     return 0
 
 
@@ -498,8 +473,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(
         f"Serving {workload.num_requests} requests "
         f"({regime}; policy={args.policy}, streams={args.streams}, "
-        f"cache={args.cache}, backend={args.backend}, "
-        f"devices={args.devices})"
+        f"cache={args.cache}, backend={args.backend})"
     )
     if args.nodes > 0:
         if args.tiered:
@@ -515,14 +489,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _serve_cluster(args, catalog, workload)
     if args.kill_node_at is not None:
         raise SystemExit("--kill-node-at requires cluster mode (--nodes)")
-    if args.devices > 1:
-        if args.tiered:
-            raise SystemExit("--tiered runs on a single device (--devices 1)")
-        if args.shed_to_cpu:
-            raise SystemExit(
-                "--shed-to-cpu runs on a single device (--devices 1)"
-            )
-        return _serve_group(args, catalog, workload, config)
     device = _make_device(args)
     backend = default_framework().create(args.backend, device)
     config.store = _make_store(args, device, catalog)
@@ -582,31 +548,6 @@ def _add_store_flags(command: argparse.ArgumentParser) -> None:
         metavar="SIZE",
         help="device-tier cap on the store's resident compressed bytes "
         "(e.g. 256K); exceeding it spills cold chunks down-tier",
-    )
-
-
-def _add_group_flags(command: argparse.ArgumentParser) -> None:
-    """Register the multi-GPU flags shared by tpch and serve."""
-    command.add_argument(
-        "--devices",
-        type=int,
-        default=1,
-        help="simulated GPU count; >1 runs partition-parallel on a "
-        "device group (tpch) or one server replica per device (serve)",
-    )
-    command.add_argument(
-        "--partition",
-        default="round_robin",
-        metavar="SPEC",
-        help="how the largest (or named-column) table is sharded across "
-        "devices: hash:<col>, range:<col>, or round_robin",
-    )
-    command.add_argument(
-        "--interconnect",
-        choices=("nvlink", "pcie"),
-        default="nvlink",
-        help="peer link model: nvlink = direct P2P DMA, pcie = two-leg "
-        "host bounce over the PCIe root complex",
     )
 
 
@@ -701,8 +642,28 @@ def build_parser() -> argparse.ArgumentParser:
         default="thrust",
         help="which backend's timeline --trace captures",
     )
+    tpch.add_argument(
+        "--devices",
+        type=int,
+        default=1,
+        help="simulated GPU count; >1 runs the query partition-parallel "
+        "on a device group (serving scales by nodes: serve --nodes)",
+    )
+    tpch.add_argument(
+        "--partition",
+        default="round_robin",
+        metavar="SPEC",
+        help="how the largest (or named-column) table is sharded across "
+        "devices: hash:<col>, range:<col>, or round_robin",
+    )
+    tpch.add_argument(
+        "--interconnect",
+        choices=("nvlink", "pcie"),
+        default="nvlink",
+        help="peer link model: nvlink = direct P2P DMA, pcie = two-leg "
+        "host bounce over the PCIe root complex",
+    )
     _add_store_flags(tpch)
-    _add_group_flags(tpch)
     tpch.set_defaults(handler=_cmd_tpch)
 
     serve = commands.add_parser(
@@ -818,9 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--nodes",
         type=int,
         default=0,
-        help="multi-node cluster serving: node count (0 = the single-"
-        "device or device-group path); each node is a device group "
-        "joined to its peers over the NETWORK link tier",
+        help="multi-node cluster serving: node count (0 = one device); "
+        "each node is one device running its own server, joined to its "
+        "peers over the NETWORK link tier",
     )
     serve.add_argument(
         "--replicas",
@@ -838,7 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
         "queued and in-flight queries fail over to surviving replicas",
     )
     _add_store_flags(serve)
-    _add_group_flags(serve)
     serve.set_defaults(handler=_cmd_serve)
     return parser
 

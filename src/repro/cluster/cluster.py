@@ -2,8 +2,9 @@
 
 A :class:`Cluster` is the topology level above
 :class:`~repro.gpu.topology.DeviceGroup`: each :class:`ClusterNode` wraps
-one group (its lead device runs the node's serving loop) and the nodes
-are joined by a :class:`~repro.gpu.topology.NetworkFabric` — the NETWORK
+a one-device group whose device (the node's lead) runs the node's
+server, and the nodes are joined by a
+:class:`~repro.gpu.topology.NetworkFabric` — the NETWORK
 link tier, priced above NVLink/PCIe/NVMe, with per-pair channel and
 per-node NIC contention and NET profiler events on both endpoints.
 
@@ -70,7 +71,7 @@ class Cluster:
         catalog: Dict[str, Table],
         backend_name: str = "handwritten",
         *,
-        devices_per_node: int = 1,
+        allocator: str = "null",
         device_spec: DeviceSpec = GTX_1080TI,
         replication: int = 2,
         placement: Optional[ClusterShardCatalog] = None,
@@ -86,7 +87,7 @@ class Cluster:
         )
         self.nodes: List[ClusterNode] = [
             ClusterNode(index=i, group=DeviceGroup.of_size(
-                devices_per_node, device_spec,
+                1, device_spec, allocator=allocator,
             ))
             for i in range(num_nodes)
         ]
@@ -193,8 +194,7 @@ class Cluster:
 
     def __repr__(self) -> str:
         return (
-            f"Cluster({len(self.nodes)} nodes x "
-            f"{len(self.nodes[0].group)} devices, "
+            f"Cluster({len(self.nodes)} nodes, "
             f"backend={self.backend_name!r}, "
             f"replication={self.placement.replication})"
         )

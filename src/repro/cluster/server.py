@@ -2,19 +2,21 @@
 
 :class:`ClusterServer` is the coordinator over a :class:`~repro.cluster.
 cluster.Cluster`: one :class:`~repro.serve.server.QueryServer` per node
-(scheduler, admission controller, caches, stream pool on the node's lead
-device) plus a cluster-wide discrete-event loop that routes each request
-to a replica, fetches missing shards over the network fabric, and fails
-queries over to survivors when a node dies mid-run.
+(queue, scheduler, admission controller, caches, stream pool on the
+node's lead device) plus a cluster-wide discrete-event loop that routes
+each request to a replica, fetches missing shards over the network
+fabric, and fails queries over to survivors when a node dies mid-run.
 
-The loop is a faithful generalization of :meth:`QueryServer.run`: each
-iteration either *routes* (pops arrivals/retries up to the next action
-time and places them on a node queue) or *serves* (runs one request on
-the node that can act earliest, through the node server's own policy,
-admission controller, and dispatch path).  With one node, one replica,
-and no failures, the cluster loop performs exactly the same sequence of
-pool/policy/admission/dispatch calls as a bare ``QueryServer`` — the
-bit-identity acceptance test pins that down event-for-event.
+The coordinator owns no scheduling of its own.  Each iteration either
+*routes* (pops arrivals/retries up to the next action time and enqueues
+them on a node server) or *serves*: the node that can act earliest runs
+its server's own step, :meth:`~repro.serve.server.QueryServer.serve_next`
+— the same one :meth:`QueryServer.run` drives on a single device — with
+the shard fetch hooked in just before an admitted dispatch.  A node
+whose tenants are pinned to it (``allowed_nodes``) and that holds every
+shard therefore serves exactly what a bare ``QueryServer`` serves over
+those tenants' requests; the bit-identity tests pin that down, records
+and profiler events, for one to three nodes.
 
 Failover: node deaths are armed on the virtual clock
 (:meth:`Cluster.fail_node_at`).  A death strikes before any routing or
@@ -42,16 +44,9 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ClusterError, DeviceError, NodeFailure
-from repro.serve.admission import (
-    ADMIT,
-    SHED as SHED_DECISION,
-    WAIT,
-    estimate_working_set,
-)
 from repro.serve.cache import scanned_tables
 from repro.serve.metrics import ServeMetrics, compute_metrics
-from repro.serve.request import FAILED, SHED, QueryRequest, RequestRecord
-from repro.serve.scheduler import estimate_plan_cost
+from repro.serve.request import FAILED, QueryRequest, RequestRecord
 from repro.serve.server import QueryServer, ServerConfig
 
 from repro.cluster.cluster import Cluster
@@ -115,23 +110,11 @@ class ClusterConfig:
 
 @dataclass
 class _NodeState:
-    """Coordinator-side serving state of one node."""
+    """Coordinator-side state of one node: elastic membership."""
 
-    queue: List[QueryRequest] = field(default_factory=list)
-    costs: Dict[int, float] = field(default_factory=dict)
-    inflight: List[Tuple[float, int]] = field(default_factory=list)
-    wait_floor: float = 0.0
     active: bool = True
+    #: Spin-up end of a node that joined via scale-up.
     ready_at: float = 0.0
-
-    def depth(self, time: float) -> int:
-        """Queued plus in-flight requests at ``time`` (the routing and
-        elasticity load signal)."""
-        return len(self.queue) + sum(1 for f, _b in self.inflight if f > time)
-
-    def pending_cost(self) -> float:
-        """Estimated device seconds sitting in the queue."""
-        return sum(self.costs.get(r.seq, 0.0) for r in self.queue)
 
 
 @dataclass
@@ -219,16 +202,12 @@ class ClusterServer:
             self._issued.add(request.seq)
         records: List[RequestRecord] = []
 
-        while heap or any(
-            state.queue
-            for node, state in zip(self.cluster.nodes, self._states)
-            if not node.dead
-        ):
+        while True:
             acting, t_serve = self._earliest_server()
             t_route = heap[0][0] if heap else None
             times = [t for t in (t_serve, t_route) if t is not None]
             if not times:
-                break  # only unservable queues remain (handled as kills)
+                break  # nothing left to route, nothing left to serve
             t_evt = min(times)
             # 1) Armed node deaths strike before anything else at t_evt.
             if self._kill_due(t_evt, heap, records, workload):
@@ -257,13 +236,10 @@ class ClusterServer:
         for node, state, server in zip(
             self.cluster.nodes, self._states, self.servers
         ):
-            if node.dead or not state.active or not state.queue:
+            ready = server.ready_at()
+            if node.dead or not state.active or ready is None:
                 continue
-            t = max(
-                server.pool.earliest_available(),
-                state.wait_floor,
-                state.ready_at,
-            )
+            t = max(ready, state.ready_at)
             if best is None or (t, node.index) < best:
                 best = (t, node.index)
         if best is None:
@@ -285,7 +261,6 @@ class ClusterServer:
     def _kill(self, index: int, heap, records, workload) -> None:
         """Node death: requeue its pending work, drop its shard cache."""
         node = self.cluster.nodes[index]
-        state = self._states[index]
         node.dead = True
         node.death_time = (
             node.fail_at if node.fail_at is not None else 0.0
@@ -294,9 +269,7 @@ class ClusterServer:
         self._timeline.append({
             "t": node.death_time, "event": "node_killed", "node": index,
         })
-        orphans, state.queue = state.queue, []
-        state.inflight = []
-        for request in orphans:
+        for request in self.servers[index].drain():
             self._failed_over.add(request.seq)
             heapq.heappush(heap, (
                 max(node.death_time, request.arrival),
@@ -364,8 +337,8 @@ class ClusterServer:
         home = self._tenant_home.get(request.tenant)
         scores = {
             i: (
-                self._states[i].depth(time),
-                self._states[i].pending_cost(),
+                self.servers[i].depth(time),
+                self.servers[i].pending_cost(),
                 self.cluster.missing_bytes(i, tables),
                 i,
             )
@@ -379,11 +352,7 @@ class ClusterServer:
         ):
             chosen = home
         self._tenant_home[request.tenant] = chosen
-        state = self._states[chosen]
-        state.queue.append(request)
-        state.costs[request.seq] = estimate_plan_cost(
-            request.plan, self.servers[chosen].catalog
-        )
+        self.servers[chosen].enqueue(request)
         self._maybe_scale(time)
 
     def _candidates(self, request: QueryRequest, time: float) -> List[int]:
@@ -413,79 +382,54 @@ class ClusterServer:
     def _serve_one(
         self, acting: int, now: float, heap, records, workload,
     ) -> None:
-        """One scheduling decision on one node — the exact body of
-        :meth:`QueryServer.run`'s iteration, plus shard fetch and the
-        mid-query death check."""
+        """One scheduling decision on one node: the node server's own
+        :meth:`~repro.serve.server.QueryServer.serve_next`, with the
+        shard fetch just before an admitted dispatch, device-fault
+        failover and the mid-query death check around it."""
         node = self.cluster.nodes[acting]
-        state = self._states[acting]
         server = self.servers[acting]
-        index = server.policy.choose(
-            state.queue, state.costs, server._served_by_tenant
-        )
-        request = state.queue[index]
-        start = max(now, request.arrival)
+        admitted: List[Tuple[QueryRequest, float, int]] = []
 
-        estimated = estimate_working_set(request.plan, server.catalog)
-        state.inflight = [(f, b) for f, b in state.inflight if f > start]
-        decision = server.admission.decide(
-            estimated, sum(b for _f, b in state.inflight)
-        )
-        if decision == WAIT:
-            state.wait_floor = min(f for f, _b in state.inflight)
-            return
-        state.queue.pop(index)
-        if decision == SHED_DECISION:
-            record = RequestRecord(
-                seq=request.seq, tenant=request.tenant,
-                name=request.name, status=SHED,
-                arrival=request.arrival, dispatched=start,
-                finished=start, estimated_bytes=estimated,
-                node=acting,
-                attempts=self._attempts.get(request.seq, 0),
-                failed_over=request.seq in self._failed_over,
+        def fetch(request: QueryRequest) -> None:
+            seconds, nbytes = self.cluster.fetch_missing(
+                acting, scanned_tables(request.plan)
             )
-            records.append(record)
-            self._follow_up(workload.on_complete(record), heap)
-            return
+            self._fetch_seconds += seconds
+            self._fetch_bytes += nbytes
+            admitted.append((request, seconds, nbytes))
 
-        assert decision == ADMIT
-        fetch_seconds, fetch_bytes = self.cluster.fetch_missing(
-            acting, scanned_tables(request.plan)
-        )
-        self._fetch_seconds += fetch_seconds
-        self._fetch_bytes += fetch_bytes
         try:
-            record = server._dispatch(request, start, estimated)
+            record = server.serve_next(now, prepare=fetch)
         except DeviceError:
             # Device-scoped fault escaped the executor's recovery: the
             # node survives, but this request must not land there again.
+            ((request, _seconds, _nbytes),) = admitted
             self._excluded.setdefault(request.seq, set()).add(acting)
-            session = server._sessions.pop(request.tenant, None)
-            if session is not None:
-                session.close()
-            detected = max(start, node.lead.clock.now)
+            server.drop_session(request.tenant)
+            detected = max(now, node.lead.clock.now)
             self._fail_over(
                 request, acting, detected, "device", heap, records, workload
             )
             return
-        if node.fail_at is not None and record.finished > node.fail_at:
-            # The node died while the query ran: the client never saw
-            # this result.  Void the record and retry on a survivor.
-            self._fail_over(
-                request, acting, node.fail_at, "node", heap, records,
-                workload,
-            )
-            self._kill_due(node.fail_at, heap, records, workload)
-            return
+        if record is None:
+            return  # admission waits for in-flight memory to drain
+        if admitted:
+            request, record.fetch_seconds, record.fetch_bytes = admitted[0]
+            if node.fail_at is not None and record.finished > node.fail_at:
+                # The node died while the query ran: the client never
+                # saw this result.  Void the record, retry on a survivor.
+                self._fail_over(
+                    request, acting, node.fail_at, "node", heap, records,
+                    workload,
+                )
+                self._kill_due(node.fail_at, heap, records, workload)
+                return
+            if record.latency > 0.0:
+                self._window.append(record.latency)
         record.node = acting
-        record.attempts = self._attempts.get(request.seq, 0)
-        record.failed_over = request.seq in self._failed_over
-        record.fetch_seconds = fetch_seconds
-        record.fetch_bytes = fetch_bytes
-        state.inflight.append((record.finished, estimated))
+        record.attempts = self._attempts.get(record.seq, 0)
+        record.failed_over = record.seq in self._failed_over
         records.append(record)
-        if record.latency > 0.0:
-            self._window.append(record.latency)
         self._follow_up(workload.on_complete(record), heap)
 
     # -- elasticity ----------------------------------------------------------
@@ -509,7 +453,7 @@ class ClusterServer:
         ]
         if not active:
             return
-        depths = {i: self._states[i].depth(time) for i in active}
+        depths = {i: self.servers[i].depth(time) for i in active}
         if standby:
             slo_pressure = (
                 self.config.slo_seconds > 0.0

@@ -1,6 +1,6 @@
 """Multi-GPU execution: partitioning, exchange, and group execution.
 
-This package scales the single-device stack out to a simulated
+This package scales one query out over a simulated
 :class:`~repro.gpu.topology.DeviceGroup`.  Base tables are split into
 per-device shards (:mod:`partition`), data movement between devices is
 priced by exchange operators over the cost-modelled interconnect
@@ -8,9 +8,10 @@ priced by exchange operators over the cost-modelled interconnect
 (:mod:`planner`), and :class:`DistributedExecutor` ties it together:
 partition-parallel scans with partial-aggregate merge for Q1/Q6-style
 plans, broadcast or shuffle hash joins for Q3/Q4-style plans, chosen by
-cost.  :class:`GroupServer` replicates the serving layer per device, and
-:mod:`trace` merges per-device timelines into one Chrome trace with a
-process row per GPU.
+cost.  :mod:`trace` merges per-device timelines into one Chrome trace
+with a process row per GPU.  Serving many queries over several devices
+is :mod:`repro.cluster`'s job: one node per device, each running its own
+:class:`~repro.serve.server.QueryServer`.
 """
 
 from repro.distributed.exchange import (
@@ -45,7 +46,6 @@ from repro.distributed.planner import (
     JoinExchangePlan,
     analyze,
 )
-from repro.distributed.serve import GroupServeReport, GroupServer
 from repro.distributed.trace import (
     group_chrome_trace_json,
     write_group_chrome_trace,
@@ -67,8 +67,6 @@ __all__ = [
     "DistributedExecutor",
     "DistributedReport",
     "DistributedResult",
-    "GroupServeReport",
-    "GroupServer",
     "JoinExchangePlan",
     "PARTITIONER_KINDS",
     "PartitionSpec",

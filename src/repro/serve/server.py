@@ -2,11 +2,15 @@
 
 :class:`QueryServer` drains a workload's request stream through one
 simulated device.  Requests queue at the server; whenever a pool stream
-can accept work, the scheduling policy picks the next request, admission
-control checks its estimated working set against the device budget, and
-the request is dispatched onto the earliest-free stream — its device work
-priced through :meth:`~repro.gpu.device.Device.stream_scope` so the
-per-engine timelines account each request's kernels and transfers.
+can accept work, the scheduling policy picks the next request among
+those that have arrived, admission control checks its estimated working
+set against the device budget, and the request is dispatched onto the
+earliest-free stream — its device work priced through
+:meth:`~repro.gpu.device.Device.stream_scope` so the per-engine
+timelines account each request's kernels and transfers.  That decision
+is one public step, :meth:`QueryServer.serve_next`: :meth:`QueryServer.run`
+drives it for a single device, and :class:`~repro.cluster.ClusterServer`
+drives it on every node of a cluster.
 
 Everything runs on the simulated clock, so the loop below is really a
 discrete-event simulation: the *host* executes requests one at a time,
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.backend import OperatorBackend
 from repro.gpu import profiler as prof
@@ -153,6 +157,14 @@ class QueryServer:
         self._sessions: Dict[str, GpuSession] = {}
         self._versions: Dict[str, int] = {}
         self._served_by_tenant: Dict[str, float] = {}
+        self._queue: List[QueryRequest] = []
+        self._costs: Dict[int, float] = {}
+        #: (finished, estimated_bytes) of dispatched device requests —
+        #: "in flight" at time t means finished > t.
+        self._inflight: List[Tuple[float, int]] = []
+        #: Monotonic lower bound on dispatch time; raised while waiting
+        #: for in-flight memory to drain.
+        self._wait_floor = 0.0
 
     # -- tenancy & data -----------------------------------------------------
 
@@ -185,6 +197,12 @@ class QueryServer:
         for session in self._sessions.values():
             session.replace_table(name, table)
 
+    def drop_session(self, tenant: str) -> None:
+        """Close the tenant's session; its next request starts cold."""
+        session = self._sessions.pop(tenant, None)
+        if session is not None:
+            session.close()
+
     def close(self) -> None:
         """Release every tenant session's device memory."""
         for session in self._sessions.values():
@@ -209,61 +227,21 @@ class QueryServer:
         heap: List = []
         for request in workload.arrivals():
             heapq.heappush(heap, (request.arrival, request.seq, request))
-        queue: List[QueryRequest] = []
-        costs: Dict[int, float] = {}
         records: List[RequestRecord] = []
-        #: (finished, estimated_bytes) of dispatched device requests —
-        #: "in flight" at time t means finished > t.
-        inflight: List = []
-        #: Monotonic lower bound on dispatch time; raised while waiting
-        #: for in-flight memory to drain.
-        wait_floor = 0.0
+        # Every run starts idle: nothing queued or in flight, no floor.
+        self.drain()
+        self._inflight = []
+        self._wait_floor = 0.0
 
-        while heap or queue:
-            now = max(self.pool.earliest_available(), wait_floor)
-            if not queue:
-                now = max(now, heap[0][0])
+        while heap or self._queue:
+            if not self._queue:
+                self.enqueue(heapq.heappop(heap)[-1])
+            now = self.ready_at()
             while heap and heap[0][0] <= now:
-                _, _, request = heapq.heappop(heap)
-                costs[request.seq] = estimate_plan_cost(
-                    request.plan, self.catalog
-                )
-                queue.append(request)
-            if not queue:
+                self.enqueue(heapq.heappop(heap)[-1])
+            record = self.serve_next(now)
+            if record is None:
                 continue
-            index = self.policy.choose(queue, costs, self._served_by_tenant)
-            request = queue[index]
-            start = max(now, request.arrival)
-
-            estimated = estimate_working_set(request.plan, self.catalog)
-            inflight = [(f, b) for f, b in inflight if f > start]
-            decision = self.admission.decide(
-                estimated, sum(b for _f, b in inflight)
-            )
-            if decision == WAIT:
-                # Progress is guaranteed: WAIT implies something is in
-                # flight, and its completion time is strictly later.
-                wait_floor = min(f for f, _b in inflight)
-                continue
-            queue.pop(index)
-            if decision == SHED_DECISION:
-                record = RequestRecord(
-                    seq=request.seq, tenant=request.tenant,
-                    name=request.name, status=SHED,
-                    arrival=request.arrival, dispatched=start,
-                    finished=start, estimated_bytes=estimated,
-                )
-            elif decision == SHED_TO_CPU:
-                # Pressure fallback: the request runs host-only, so it
-                # holds no device bytes — it never joins the in-flight
-                # set the admission controller is budgeting.
-                record = self._dispatch(
-                    request, start, estimated, cpu_only=True
-                )
-            else:
-                assert decision == ADMIT
-                record = self._dispatch(request, start, estimated)
-                inflight.append((record.finished, estimated))
             records.append(record)
             follow_up = workload.on_complete(record)
             if follow_up is not None:
@@ -290,6 +268,93 @@ class QueryServer:
             stream_busy=list(self.pool.busy_seconds),
             storage=storage,
         )
+
+    # -- the scheduling step -----------------------------------------------
+
+    def enqueue(self, request: QueryRequest) -> None:
+        """Queue a request, priced for the scheduling policy."""
+        self._costs[request.seq] = estimate_plan_cost(
+            request.plan, self.catalog
+        )
+        self._queue.append(request)
+
+    def ready_at(self) -> Optional[float]:
+        """When the next :meth:`serve_next` decides: the latest of a
+        stream freeing up, the wait floor and the earliest queued
+        arrival.  None while nothing is queued."""
+        if not self._queue:
+            return None
+        return max(
+            self.pool.earliest_available(),
+            self._wait_floor,
+            min(request.arrival for request in self._queue),
+        )
+
+    def depth(self, time: float) -> int:
+        """Queued plus in-flight requests at ``time`` (a cluster's
+        routing and elasticity load signal)."""
+        return len(self._queue) + sum(
+            1 for f, _b in self._inflight if f > time
+        )
+
+    def pending_cost(self) -> float:
+        """Estimated cost of the queued requests (policy units)."""
+        return sum(self._costs[request.seq] for request in self._queue)
+
+    def drain(self) -> List[QueryRequest]:
+        """Remove and return every queued request, in queue order."""
+        queued, self._queue = self._queue, []
+        self._costs.clear()
+        return queued
+
+    def serve_next(
+        self,
+        now: float,
+        prepare: Optional[Callable[[QueryRequest], None]] = None,
+    ) -> Optional[RequestRecord]:
+        """One scheduling decision at ``now`` (at least :meth:`ready_at`).
+
+        The policy picks among the requests that have arrived by
+        ``now``; admission control then admits, sheds, sheds to CPU or
+        waits.  Returns the request's record, or None on WAIT (the wait
+        floor rises to the earliest in-flight completion and the request
+        stays queued).  ``prepare(request)`` runs just before an
+        admitted device dispatch.
+        """
+        arrived = [r for r in self._queue if r.arrival <= now]
+        request = arrived[
+            self.policy.choose(arrived, self._costs, self._served_by_tenant)
+        ]
+        estimated = estimate_working_set(request.plan, self.catalog)
+        self._inflight = [(f, b) for f, b in self._inflight if f > now]
+        decision = self.admission.decide(
+            estimated, sum(b for _f, b in self._inflight)
+        )
+        if decision == WAIT:
+            # Progress is guaranteed: WAIT implies something is in
+            # flight, and its completion time is strictly later.
+            self._wait_floor = min(f for f, _b in self._inflight)
+            return None
+        self._queue.remove(request)
+        del self._costs[request.seq]
+        if decision == SHED_DECISION:
+            return RequestRecord(
+                seq=request.seq, tenant=request.tenant,
+                name=request.name, status=SHED,
+                arrival=request.arrival, dispatched=now,
+                finished=now, estimated_bytes=estimated,
+            )
+        if decision == SHED_TO_CPU:
+            # Pressure fallback: the request runs host-only, so it holds
+            # no device bytes — it never joins the in-flight set the
+            # admission controller is budgeting.
+            return self._dispatch(request, now, estimated, cpu_only=True)
+        assert decision == ADMIT
+        if prepare is not None:
+            prepare(request)
+        record = self._dispatch(request, now, estimated)
+        self._inflight.append((record.finished, estimated))
+        return record
 
     # -- dispatch path ------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """ClusterServer integration: bit-identity, failover, elasticity, SLOs.
 
-The acceptance bar for the cluster PR:
+The acceptance bar for the cluster layer:
 
-* a 1-node, 1-replica cluster run is **bit-identical** — records and
-  profiler events — to the same workload on a bare ``QueryServer``;
+* with tenants pinned round-robin to one to three nodes that each hold
+  every shard, every node is **bit-identical** — records and profiler
+  events — to a bare ``QueryServer`` over its tenants' requests;
 * a seeded multi-node run is **deterministic** across fresh clusters;
 * killing a node mid-run loses nothing: every issued request ends in
   exactly one final record under every scheduling policy;
@@ -14,6 +15,7 @@ The acceptance bar for the cluster PR:
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.gpu import DeviceGroup
 from repro.serve import (
     COMPLETED,
     FAILED,
+    ClosedLoopWorkload,
     OpenLoopWorkload,
     QueryServer,
     QuerySpec,
@@ -64,41 +67,54 @@ def _run(framework, catalog, num_nodes, workload=None, *, replication=2,
     return cluster, report
 
 
-class TestBitIdentity:
-    """The single-node cluster path IS the QueryServer path."""
+def _events(device):
+    return [
+        (e.kind, e.name, e.start, e.duration) for e in device.profiler.events
+    ]
 
+
+class TestBitIdentity:
+    """A pinned node serving every shard IS a bare QueryServer."""
+
+    @pytest.mark.parametrize("num_nodes", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "num_requests,rate", [(24, 400.0), (48, 5000.0)],
+        ids=["24at400", "48at5000"],
+    )
     @pytest.mark.parametrize("policy", ["fifo", "sjf", "fair"])
     def test_records_and_events_match_the_bare_server(
-        self, framework, tpch_catalog, policy
+        self, framework, tpch_catalog, policy, num_requests, rate, num_nodes
     ):
-        _cluster_obj, report = _run(
-            framework, tpch_catalog, 1, replication=1, policy=policy,
+        workload = _workload(num_requests=num_requests, rate=rate)
+        # Round-robin pins in order of first appearance; replication
+        # equal to the node count means no node ever fetches a shard.
+        pins = {}
+        for request in workload.arrivals():
+            pins.setdefault(request.tenant, len(pins) % num_nodes)
+        cluster, report = _run(
+            framework, tpch_catalog, num_nodes, workload,
+            replication=num_nodes, policy=policy,
+            allowed_nodes={tenant: (node,) for tenant, node in pins.items()},
         )
-        solo_device = DeviceGroup.of_size(1)[0]
-        backend = framework.create("thrust", solo_device)
         config = ClusterConfig(policy=policy).server_config()
-        with QueryServer(backend, tpch_catalog, config) as server:
-            solo = server.run(_workload())
-        # Captured after close on both sides, so teardown frees match too.
-        solo_events = list(solo_device.profiler.events)
-
-        def strip(record):
-            row = record.to_json()
-            row.pop("node", None)
-            return row
-
-        assert len(report.records) == len(solo.records)
-        for ours, theirs in zip(report.records, solo.records):
-            assert strip(ours) == strip(theirs)
-        cluster_events = [
-            (e.kind, e.name, e.start, e.duration)
-            for e in _cluster_obj[0].lead.profiler.events
-        ]
-        assert cluster_events == [
-            (e.kind, e.name, e.start, e.duration) for e in solo_events
-        ]
-        assert json.dumps(report.metrics.to_json()) == \
-               json.dumps(solo.metrics.to_json())
+        for node in range(num_nodes):
+            solo_device = DeviceGroup.of_size(1)[0]
+            backend = framework.create("thrust", solo_device)
+            mine = [r for r in workload.arrivals() if pins[r.tenant] == node]
+            with QueryServer(backend, tpch_catalog, config) as server:
+                solo = server.run(SimpleNamespace(
+                    arrivals=lambda: mine, on_complete=lambda _r: None,
+                ))
+            ours = [r.to_json() for r in report.records if r.node == node]
+            for record in solo.records:
+                record.node = node  # the only field a bare server lacks
+            assert ours == [r.to_json() for r in solo.records]
+            # Captured after close on both sides: teardown frees match too.
+            assert _events(cluster[node].lead) == _events(solo_device)
+            if num_nodes == 1:
+                assert json.dumps(report.metrics.to_json()) == \
+                       json.dumps(solo.metrics.to_json())
+        assert len(report.records) == num_requests
 
 
 class TestDeterminism:
@@ -151,6 +167,20 @@ class TestFailover:
         assert report.failovers == len(displaced)
         assert any(r.attempts > 0 or r.failed_over for r in report.records)
 
+    def test_device_fault_fails_over_and_the_node_lives_on(
+        self, framework, tpch_catalog
+    ):
+        cluster = _cluster(framework, tpch_catalog, 2)
+        cluster[0].lead.inject_faults(transfer_fault_at=0)
+        with ClusterServer(cluster, ClusterConfig()) as server:
+            report = server.run(_workload())
+        (event,) = [e for e in report.timeline if e["event"] == "failover"]
+        (retried,) = [r for r in report.records if r.seq == event["seq"]]
+        assert (event["kind"], event["node"], retried.node, retried.attempts) \
+            == ("device", 0, 1, 1)
+        assert report.metrics.completed == 24 and report.dead_nodes == []
+        assert report.node_requests[0] > 0  # node 0 kept serving
+
     def test_killed_node_before_start_serves_nothing(
         self, framework, tpch_catalog
     ):
@@ -192,6 +222,32 @@ class TestFailover:
         assert cluster[0].fetched
         with pytest.raises(ClusterError):
             cluster.fetch_missing(1, ["lineitem"])
+
+
+class TestMergedReport:
+    def test_closed_loop_follow_ups_all_complete(
+        self, framework, tpch_catalog
+    ):
+        workload = ClosedLoopWorkload(
+            _specs(), num_clients=4, requests_per_client=3, seed=3
+        )
+        _c, report = _run(framework, tpch_catalog, 2, workload)
+        assert [r.seq for r in report.records] == list(range(12))
+        assert report.metrics.completed == 12
+        assert report.unreported == []
+
+    def test_cache_counters_sum_over_node_servers(
+        self, framework, tpch_catalog
+    ):
+        cluster = _cluster(framework, tpch_catalog, 2)
+        with ClusterServer(cluster, ClusterConfig()) as server:
+            report = server.run(_workload())
+            hits = sum(s.result_cache.hits for s in server.servers)
+            misses = sum(s.result_cache.misses for s in server.servers)
+        assert report.metrics.result_cache_hits == hits
+        assert report.metrics.result_cache_misses == misses
+        # Every node's cache starts cold: one miss per distinct plan.
+        assert misses >= 2
 
 
 class TestElasticity:

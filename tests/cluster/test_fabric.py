@@ -8,9 +8,8 @@ from repro.gpu import DATACENTER_NET, DeviceGroup, NetworkFabric
 from repro.gpu.profiler import NET, chrome_trace_json, track_metadata
 
 
-def _fabric(num_nodes=3, devices_per_node=1):
-    groups = [DeviceGroup.of_size(devices_per_node) for _ in range(num_nodes)]
-    return NetworkFabric(groups)
+def _fabric(num_nodes=3):
+    return NetworkFabric([DeviceGroup.of_size(1) for _ in range(num_nodes)])
 
 
 class TestPricing:

@@ -167,11 +167,14 @@ class TestSql:
 
 class TestDistributed:
     def test_parser_defaults(self):
-        for command in ("tpch", "serve"):
-            args = build_parser().parse_args([command])
-            assert args.devices == 1
-            assert args.partition == "round_robin"
-            assert args.interconnect == "nvlink"
+        args = build_parser().parse_args(["tpch"])
+        assert args.devices == 1
+        assert args.partition == "round_robin"
+        assert args.interconnect == "nvlink"
+        # Serving scales by --nodes; serve has no device-group flags.
+        for flag in ("--devices=2", "--partition=hash:x", "--interconnect=pcie"):
+            with pytest.raises(SystemExit, match="^2$"):
+                build_parser().parse_args(["serve", flag])
 
     def test_tpch_multi_device_with_trace(self, capsys, tmp_path):
         trace_path = tmp_path / "group.json"
@@ -196,17 +199,6 @@ class TestDistributed:
             "--interconnect", "pcie",
         ]) == 0
         assert "shuffle_join" in capsys.readouterr().out
-
-    def test_serve_multi_device_placement(self, capsys):
-        assert main([
-            "serve", "--requests", "6", "--arrival-rate", "500",
-            "--scale-factor", "0.002", "--devices", "2",
-            "--tenants", "4", "--queries", "Q6",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "devices=2" in out
-        assert "device placement" in out
-        assert "gpu0:" in out and "gpu1:" in out
 
 
 class TestServeCluster:
@@ -260,6 +252,40 @@ class TestServeCluster:
                 "serve", "--requests", "4", "--scale-factor", "0.002",
                 "--nodes", "1", "--kill-node-at", "0.001",
             ])
+
+    @staticmethod
+    def _cluster_file(tmp_path, option, *flags):
+        """A 6-request 2-node run's ``option`` (--json/--trace) file."""
+        import json
+
+        path = tmp_path / "out.json"
+        assert main([
+            "serve", "--requests", "6", "--arrival-rate", "500",
+            "--scale-factor", "0.002", "--queries", "Q6", "--nodes", "2",
+            option, str(path), *flags,
+        ]) == 0
+        return json.loads(path.read_text())
+
+    def test_admission_budget_reaches_the_nodes(self, tmp_path):
+        payload = self._cluster_file(
+            tmp_path, "--json", "--admission-budget", "1K"
+        )
+        assert payload["metrics"]["shed"] == 6
+
+    def test_device_mem_sizes_the_node_devices(self, tmp_path):
+        # The default budget is 80% of a 64 KiB device: nothing fits.
+        payload = self._cluster_file(tmp_path, "--json", "--device-mem", "64K")
+        assert payload["metrics"]["shed"] == 6
+
+    def test_pool_prices_node_allocations(self, tmp_path):
+        metrics = self._cluster_file(tmp_path, "--json", "--pool")["metrics"]
+        assert metrics["completed"] == 6
+        assert metrics["device_breakdown_s"]["alloc"] > 0.0
+
+    def test_trace_merges_the_node_leads(self, tmp_path):
+        rows = self._cluster_file(tmp_path, "--trace")["traceEvents"]
+        assert {row["pid"] for row in rows} == {0, 1}
+        assert any(row.get("name") == "Q6#0" for row in rows)
 
     def test_cluster_rejects_tiered(self):
         with pytest.raises(SystemExit):

@@ -5,6 +5,7 @@ import inspect
 import pathlib
 import pkgutil
 import re
+import shlex
 
 import pytest
 
@@ -82,6 +83,25 @@ class TestProjectLayout:
             "bench_fig_fused_pipeline.py",
         }
         assert required <= benches
+
+
+class TestReadme:
+    def test_every_cli_example_parses(self):
+        """Each ``python -m repro ...`` line of README's bash blocks is
+        accepted by the CLI parser (parsed only, never run)."""
+        from repro.cli import build_parser
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        text = (root / "README.md").read_text()
+        commands = []
+        for block in re.findall(r"```bash\n(.*?)```", text, re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                words = shlex.split(line, comments=True)
+                if words[:3] == ["python", "-m", "repro"]:
+                    commands.append(words[3:])
+        assert commands
+        for words in commands:
+            build_parser().parse_args(words)  # a stale flag exits 2
 
 
 def _job(ci_text, name):

@@ -252,7 +252,6 @@ def _smoke(devices: int) -> int:
                 base.report.makespan_seconds
                 / multi.report.makespan_seconds
             ),
-            "merge_mode": multi.report.merge_mode,
             "exchange_bytes": multi.report.exchange_bytes,
         }
     summary = ", ".join(

@@ -55,7 +55,7 @@ class HandwrittenRuntime(LibraryRuntime):
         super().__init__(device, TUNED_PROFILE)
 
 
-def _predicate_cost(predicate: Predicate) -> Tuple[float, int]:
+def predicate_cost(predicate: Predicate) -> Tuple[float, int]:
     """(flops per element, distinct columns read) for a fused predicate."""
     if isinstance(predicate, (Compare, Between, InSet)):
         return predicate.flops, 1
@@ -64,11 +64,11 @@ def _predicate_cost(predicate: Predicate) -> Tuple[float, int]:
     if isinstance(predicate, (And, Or)):
         flops = 1.0 * (len(predicate.parts) - 1)
         for part in predicate.parts:
-            part_flops, _cols = _predicate_cost(part)
+            part_flops, _cols = predicate_cost(part)
             flops += part_flops
         return flops, len(predicate.columns())
     if isinstance(predicate, Not):
-        inner_flops, _cols = _predicate_cost(predicate.part)
+        inner_flops, _cols = predicate_cost(predicate.part)
         return inner_flops + 1.0, len(predicate.columns())
     raise TypeError(f"unsupported predicate node {predicate!r}")
 
@@ -177,7 +177,7 @@ class HandwrittenBackend(OperatorBackend):
         mask = predicate.evaluate(host_columns)
         ids = np.flatnonzero(mask).astype(np.int64)
         n = len(mask)
-        flops, column_count = _predicate_cost(predicate)
+        flops, column_count = predicate_cost(predicate)
         itemsize = sum(
             columns[name].itemsize for name in predicate.columns()
         )

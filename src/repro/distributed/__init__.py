@@ -6,17 +6,19 @@ per-device shards (:mod:`partition`), data movement between devices is
 priced by exchange operators over the cost-modelled interconnect
 (:mod:`exchange`), plan eligibility is decided by a small analyzer
 (:mod:`planner`), and :class:`DistributedExecutor` ties it together:
-partition-parallel scans with partial-aggregate merge for Q1/Q6-style
-plans, broadcast or shuffle hash joins for Q3/Q4-style plans, chosen by
-cost.  :mod:`trace` merges per-device timelines into one Chrome trace
-with a process row per GPU.  Serving many queries over several devices
-is :mod:`repro.cluster`'s job: one node per device, each running its own
+partition-parallel scans for Q1/Q6-style plans, broadcast or shuffle
+hash joins for Q3/Q4-style plans, chosen by cost.  Shards split the plan
+and merge the partials on the host exactly as chunked scans do, through
+:func:`~repro.query.chunked.split_plan` and
+:func:`~repro.query.chunked.merge_partials`.
+:mod:`trace` merges per-device timelines into one Chrome trace with a
+process row per GPU.  Serving many queries over several devices is
+:mod:`repro.cluster`'s job: one node per device, each running its own
 :class:`~repro.serve.server.QueryServer`.
 """
 
 from repro.distributed.exchange import (
     EXCHANGE_MODES,
-    AllReduce,
     Broadcast,
     ExchangeChoice,
     Gather,
@@ -25,8 +27,6 @@ from repro.distributed.exchange import (
     movement_matrix,
 )
 from repro.distributed.executor import (
-    EXCHANGE_POLICIES,
-    MERGE_MODES,
     STRATEGIES,
     DistributedExecutor,
     DistributedReport,
@@ -52,13 +52,10 @@ from repro.distributed.trace import (
 )
 
 __all__ = [
-    "AllReduce",
     "Broadcast",
     "ExchangeChoice",
     "EXCHANGE_MODES",
-    "EXCHANGE_POLICIES",
     "Gather",
-    "MERGE_MODES",
     "STRATEGIES",
     "Shuffle",
     "choose_exchange",

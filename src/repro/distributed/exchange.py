@@ -1,6 +1,6 @@
 """Exchange operators: pricing data movement across a device group.
 
-Four operators cover the movement patterns of distributed query plans.
+Three operators cover the movement patterns of distributed query plans.
 Each is a small description object whose :meth:`run` prices the pattern's
 peer copies on a :class:`~repro.gpu.topology.DeviceGroup` — contention
 (shared copy engines, per-pair channels) falls out of the topology layer,
@@ -13,11 +13,7 @@ while shuffles between disjoint pairs overlap.
   matrix (``moved[src][dst]`` bytes); each source's sends serialise on
   its engine, different sources overlap.
 * :class:`Gather` — every device sends its (small) partial result to one
-  root device.
-* :class:`AllReduce` — recursive-doubling partial-aggregate merge: in
-  round ``r`` devices at distance ``2^r`` exchange partials, ``ceil(log2
-  N)`` rounds total.  Numerically the host still folds the partials the
-  same way — the operator only prices the interconnect pattern.
+  root device, where the host merges them.
 
 :func:`choose_exchange` is the cost model that picks broadcast vs shuffle
 for a distributed join, mirroring how the single-device optimizer picks
@@ -98,36 +94,6 @@ class Gather:
         for src, nbytes in enumerate(self.nbytes):
             if src != self.root and nbytes > 0:
                 group.copy_d2d(src, self.root, nbytes, label=label)
-        return group.now() - t0
-
-
-@dataclass(frozen=True)
-class AllReduce:
-    """Recursive-doubling merge of equal-sized partials (``nbytes`` each).
-
-    Round ``r`` pairs device ``i`` with ``i XOR 2^r`` (when both exist);
-    each pair exchanges partials in both directions.  After ``ceil(log2
-    N)`` rounds every device holds the merged aggregate.
-    """
-
-    nbytes: int
-
-    def run(self, group: DeviceGroup, label: str = "all_reduce") -> float:
-        n = len(group)
-        if n <= 1 or self.nbytes <= 0:
-            return 0.0
-        t0 = group.now()
-        distance = 1
-        while distance < n:
-            for i in range(n):
-                peer = i ^ distance
-                if peer < n and i < peer:
-                    group.copy_d2d(i, peer, self.nbytes, label=label)
-                    group.copy_d2d(peer, i, self.nbytes, label=label)
-            # Rounds are bulk-synchronous: everyone finishes exchanging
-            # before the next doubling.
-            group.align()
-            distance *= 2
         return group.now() - t0
 
 

@@ -2,12 +2,14 @@
 
 The :class:`DistributedExecutor` is the multi-GPU counterpart of
 :class:`~repro.query.executor.QueryExecutor`: it splits one base table
-into per-device shards, runs the (lightly rewritten) plan once per
-device through an ordinary single-device executor, prices the
-inter-device data movement with the exchange operators, and recombines
-the per-device partial aggregates on the host with the same combine
-machinery the chunked-scan path uses — a device shard is just a chunk
-that lives on its own device.
+into per-device shards, runs the plan's partial form once per device
+through an ordinary single-device executor (so each shard keeps local
+OOM recovery and chunked scans), prices the inter-device data movement
+with the exchange operators, and merges the partials on the host.  The
+split and the merge are the ones chunked scans use
+(:func:`~repro.query.chunked.split_plan`,
+:func:`~repro.query.chunked.merge_partials`) — a device shard is a
+chunk that lives on its own device.
 
 Placement model (see DESIGN.md "Interconnect cost model"):
 
@@ -19,10 +21,10 @@ Placement model (see DESIGN.md "Interconnect cost model"):
   per-device executors themselves — broadcast mode adds no separate
   exchange step, it simply leaves the build side whole in every device
   catalog.
-* Partial results merge over the interconnect: a :class:`Gather` to
-  device 0 by default, or an :class:`AllReduce` when every device should
-  end up with the merged aggregate.
+* Partials gather to one root device over the interconnect
+  (:class:`Gather`) before the host merge.
 
+The cost model picks broadcast or shuffle among the sound patterns.
 Ineligible plans (see :mod:`repro.distributed.planner`) fall back to
 plain single-device execution, and a one-device group always takes that
 path — so ``--devices 1`` is bit-identical to the serial executor.
@@ -36,20 +38,13 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.framework import GpuOperatorFramework, default_framework
-from repro.errors import PlanError
 from repro.gpu.profiler import ProfileSummary, merge_summaries
 from repro.gpu.topology import DeviceGroup
-from repro.query.chunked import (
-    _apply_wrappers,
-    _chunk_plan,
-    _combine_aggregates,
-    _combine_keyed_groups,
-)
+from repro.query.chunked import merge_partials
 from repro.query.executor import ExecutionReport, QueryExecutor
 from repro.query.plan import Join, PlanNode, walk
 from repro.relational.table import Table
 from repro.distributed.exchange import (
-    AllReduce,
     ExchangeChoice,
     Gather,
     Shuffle,
@@ -63,12 +58,6 @@ from repro.distributed.partition import (
     partition_indices,
 )
 from repro.distributed.planner import DistributedDecision, analyze
-
-#: How per-device partial aggregates are merged over the interconnect.
-MERGE_MODES = ("gather", "all_reduce")
-
-#: Exchange-mode selection: cost model, or force one pattern.
-EXCHANGE_POLICIES = ("cost", "broadcast", "shuffle")
 
 #: Execution strategies a distributed run can report.
 STRATEGIES = (
@@ -102,8 +91,7 @@ class DistributedReport:
     #: Peer-to-peer re-partitioning (shuffle joins only).
     exchange_seconds: float
     exchange_bytes: int
-    #: Partial-aggregate merge over the interconnect.
-    merge_mode: str
+    #: Partial-aggregate gather over the interconnect.
     merge_seconds: float
     merge_bytes: int
     #: Why the run fell back to one device ("" when distributed).
@@ -140,11 +128,7 @@ class DistributedExecutor:
 
     ``partition`` names the stored layout of the sharded table (a
     :class:`PartitionSpec` or its ``kind[:column]`` string form).
-    ``exchange`` picks the join exchange pattern: ``"cost"`` (default)
-    lets the cost model decide, ``"broadcast"``/``"shuffle"`` force one.
-    ``merge`` picks how partials meet: ``"gather"`` to device 0 or an
-    ``"all_reduce"`` that leaves every device with the merged result.
-    The remaining knobs are forwarded to the per-device executors.
+    ``scan_chunks`` is forwarded to the per-device executors.
     """
 
     def __init__(
@@ -155,32 +139,14 @@ class DistributedExecutor:
         partition: Union[PartitionSpec, str],
         *,
         framework: Optional[GpuOperatorFramework] = None,
-        join_strategy: Optional[str] = None,
-        exchange: str = "cost",
-        merge: str = "gather",
         scan_chunks: Optional[int] = None,
-        scan_streams: int = 2,
     ) -> None:
-        if exchange not in EXCHANGE_POLICIES:
-            raise PlanError(
-                f"unknown exchange policy {exchange!r}; "
-                f"known: {', '.join(EXCHANGE_POLICIES)}"
-            )
-        if merge not in MERGE_MODES:
-            raise PlanError(
-                f"unknown merge mode {merge!r}; "
-                f"known: {', '.join(MERGE_MODES)}"
-            )
         if isinstance(partition, str):
             partition = parse_partition_spec(partition)
         self.group = group
         self.catalog = dict(catalog)
         self.partition = partition
-        self.exchange = exchange
-        self.merge = merge
-        self.join_strategy = join_strategy
         self.scan_chunks = scan_chunks
-        self.scan_streams = scan_streams
         framework = framework if framework is not None else default_framework()
         self.backend_name = backend_name
         self.backends = [
@@ -206,11 +172,7 @@ class DistributedExecutor:
 
     def _sub_executor(self, device: int, catalog: Dict[str, Table]) -> QueryExecutor:
         return QueryExecutor(
-            self.backends[device],
-            catalog,
-            join_strategy=self.join_strategy,
-            scan_chunks=self.scan_chunks,
-            scan_streams=self.scan_streams,
+            self.backends[device], catalog, scan_chunks=self.scan_chunks
         )
 
     def _execute_single(
@@ -229,7 +191,6 @@ class DistributedExecutor:
             makespan_seconds=result.report.simulated_seconds,
             exchange_seconds=0.0,
             exchange_bytes=0,
-            merge_mode=self.merge,
             merge_seconds=0.0,
             merge_bytes=0,
             reason=reason,
@@ -243,42 +204,24 @@ class DistributedExecutor:
     def _resolve_mode(
         self, decision: DistributedDecision
     ) -> Tuple[str, Optional[ExchangeChoice]]:
-        """Pick broadcast vs shuffle, honouring soundness and overrides."""
+        """Pick broadcast vs shuffle: the sound one when only one is,
+        otherwise the cost model's choice."""
         assert decision.sharded_table is not None
-        choice: Optional[ExchangeChoice] = None
-        if decision.join_exchange is not None:
-            jx = decision.join_exchange
-            reshard_required = not (
-                self.partition.kind == "hash"
-                and self.partition.column == jx.fact_key
-            )
-            choice = choose_exchange(
-                self.group,
-                build_bytes=self.catalog[jx.build_table].nbytes,
-                fact_bytes=self.catalog[decision.sharded_table].nbytes,
-                reshard_required=reshard_required,
-            )
-        if self.exchange == "shuffle":
-            if decision.join_exchange is None:
-                raise PlanError(
-                    "shuffle exchange is not available for this plan: "
-                    + (decision.shuffle_reason or "no join below the merge")
-                )
-            return "shuffle", choice
-        if self.exchange == "broadcast":
-            if not decision.broadcast_sound:
-                raise PlanError(
-                    f"broadcast exchange is unsound under {self.partition}: "
-                    "an inner group-by's keys are not colocated"
-                )
-            return "broadcast", choice
-        # Cost-based: fall back to whichever pattern is sound when only
-        # one is; otherwise trust the model.
-        if decision.join_exchange is None:
+        jx = decision.join_exchange
+        if jx is None:
             return "broadcast", None
+        reshard_required = not (
+            self.partition.kind == "hash"
+            and self.partition.column == jx.fact_key
+        )
+        choice = choose_exchange(
+            self.group,
+            build_bytes=self.catalog[jx.build_table].nbytes,
+            fact_bytes=self.catalog[decision.sharded_table].nbytes,
+            reshard_required=reshard_required,
+        )
         if not decision.broadcast_sound:
             return "shuffle", choice
-        assert choice is not None
         return choice.mode, choice
 
     def _execute_distributed(
@@ -287,7 +230,7 @@ class DistributedExecutor:
         result_name: str,
         decision: DistributedDecision,
     ) -> DistributedResult:
-        assert decision.inner is not None
+        assert decision.split is not None
         assert decision.sharded_table is not None
         group = self.group
         n = len(group)
@@ -326,9 +269,7 @@ class DistributedExecutor:
         participants = [
             i for i in range(n) if shards.shard_table(sharded, i).num_rows > 0
         ] or [0]
-        per_plan = (
-            _chunk_plan(decision.inner) if decision.keyed else decision.inner
-        )
+        per_plan = decision.split.partial
         partials: List[Table] = []
         shard_reports: List[ShardReport] = []
         for i in participants:
@@ -343,41 +284,19 @@ class DistributedExecutor:
                 )
             )
 
-        # Merge phase: partial aggregates meet over the interconnect.
+        # Merge phase: partials gather to the first participant.
         partial_bytes = [0] * n
         for i, table in zip(participants, partials):
             partial_bytes[i] = table.nbytes
-        if self.merge == "gather":
-            root = participants[0]
-            merge_bytes = sum(
-                b for i, b in enumerate(partial_bytes) if i != root
-            )
-            merge_seconds = Gather(
-                tuple(partial_bytes), root=root
-            ).run(group, label="merge:gather")
-        else:
-            merge_seconds = AllReduce(max(partial_bytes)).run(
-                group, label="merge:all_reduce"
-            )
-            merge_bytes = max(partial_bytes) * _all_reduce_sends(n)
+        root = participants[0]
+        merge_bytes = sum(b for i, b in enumerate(partial_bytes) if i != root)
+        merge_seconds = Gather(tuple(partial_bytes), root=root).run(
+            group, label="merge:gather"
+        )
         makespan = group.synchronize() - t0
+        combined = merge_partials(decision.split, partials, result_name)
 
-        # Host combine — same machinery as the chunked-scan path, so the
-        # distributed result matches it (and the whole-table path) up to
-        # float summation order.
-        if decision.keyed:
-            combined = _combine_keyed_groups(
-                decision.inner, partials, result_name
-            )
-            combined = _apply_wrappers(
-                combined, list(decision.wrappers), result_name
-            )
-        else:
-            combined = _combine_aggregates(
-                decision.inner, partials, result_name
-            )
-
-        if any(isinstance(node, Join) for node in walk(decision.inner)):
+        if any(isinstance(node, Join) for node in walk(per_plan)):
             strategy = "shuffle_join" if mode == "shuffle" else "broadcast_join"
         else:
             strategy = "partition_parallel"
@@ -395,7 +314,6 @@ class DistributedExecutor:
             makespan_seconds=makespan,
             exchange_seconds=exchange_seconds,
             exchange_bytes=exchange_bytes,
-            merge_mode=self.merge,
             merge_seconds=merge_seconds,
             merge_bytes=merge_bytes,
             reason="",
@@ -425,12 +343,3 @@ class DistributedExecutor:
         row_bytes = table.nbytes / max(1, table.num_rows)
         return Shuffle.from_matrix(movement_matrix(counts, row_bytes))
 
-
-def _all_reduce_sends(n: int) -> int:
-    """Per-device send count of the recursive-doubling all-reduce."""
-    sends = 0
-    distance = 1
-    while distance < n:
-        sends += 1
-        distance *= 2
-    return sends

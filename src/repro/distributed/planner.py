@@ -3,22 +3,20 @@
 The distributed executor runs one copy of (almost) the whole plan per
 device, against a per-device catalog in which exactly one base table —
 the *sharded* table — is replaced by that device's shard while every
-other base table is replicated.  That is correct precisely when every
-operator between the sharded scan and the *merge point* distributes over
-row-unions of the sharded table:
+other base table is replicated.  The plan splits at its merge point
+exactly as chunked scans do (:func:`~repro.query.chunked.split_plan`):
+each device runs the partial plan, and the host merges the partials
+with :func:`~repro.query.chunked.merge_partials`.  A plan the split
+rejects falls back with the split's reason.  Beyond the split, sharding
+is correct precisely when every operator between the sharded scan and
+the merge point distributes over row-unions of the sharded table:
 
 * ``Filter``/``Project`` are row-local — always distribute.
 * ``Join`` with a replicated other side matches each sharded row
   independently — distributes.
-* A ``GroupBy`` *at* the merge point (the plan's topmost aggregation)
-  distributes by construction: each device computes partials and the
-  host recombines them with the chunked-scan combine machinery.
 * A ``GroupBy`` strictly *below* the merge point (e.g. Q4's decorrelated
   EXISTS) is only complete per-device when all rows of each group
   colocate — the partitioning must be hash or range on one of its keys.
-* ``OrderBy``/``Limit`` are admitted only above a keyed merge group-by
-  (small output, re-sorted on the host), mirroring the chunked-scan
-  rules.
 
 Plans without a topmost aggregation are rejected outright: their result
 row *order* would depend on the partitioning, so they could never match
@@ -41,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.predicate import And, Not, Or, Predicate
-from repro.query.chunked import COMBINABLE_AGGREGATES, _peel_wrappers
+from repro.query.chunked import PlanSplit, split_plan
 from repro.query.plan import (
     Filter,
     GroupBy,
@@ -101,11 +99,9 @@ class DistributedDecision:
     reason: str
     sharded_table: Optional[str] = None
     spec: Optional[PartitionSpec] = None
-    #: The merge-point GroupBy (the per-device plan root) and the peeled
-    #: OrderBy/Limit wrappers re-applied after the host merge.
-    inner: Optional[GroupBy] = None
-    wrappers: Tuple[PlanNode, ...] = ()
-    keyed: bool = False
+    #: The plan cut at its merge point: the per-device partial plan and
+    #: how the host merges the partials.
+    split: Optional[PlanSplit] = None
     #: Base tables replicated to every device (referenced, not sharded).
     replicated: Tuple[str, ...] = ()
     #: Whether the *stored* partitioning colocates every inner group-by
@@ -140,25 +136,14 @@ def analyze(
     spec: PartitionSpec,
 ) -> DistributedDecision:
     """Decide whether (and how) ``plan`` can run partition-parallel."""
-    inner, wrappers = _peel_wrappers(plan)
-    if not isinstance(inner, GroupBy):
+    split = split_plan(plan)
+    if split.reason:
+        return _ineligible(split.reason)
+    inner = split.group_by
+    if inner is None:
         return _ineligible(
             "no aggregation at the top: result row order would depend on "
             "the partitioning"
-        )
-    keyed = bool(inner.keys)
-    if wrappers and not keyed:
-        return _ineligible(
-            "OrderBy/Limit above a global aggregate is not distributable"
-        )
-    for aggregate in inner.aggregates:
-        if aggregate.kind in COMBINABLE_AGGREGATES:
-            continue
-        if aggregate.kind == "avg" and keyed:
-            continue
-        return _ineligible(
-            f"aggregate kind {aggregate.kind!r} has no shard-combinable "
-            "partial form here"
         )
 
     for node in walk(inner):
@@ -238,9 +223,7 @@ def analyze(
         reason="",
         sharded_table=sharded,
         spec=spec,
-        inner=inner,
-        wrappers=tuple(wrappers),
-        keyed=keyed,
+        split=split,
         replicated=replicated,
         broadcast_sound=broadcast_sound,
         join_exchange=join_exchange,

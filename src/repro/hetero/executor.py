@@ -37,9 +37,9 @@ from repro.query.compiled import PipelineRunner
 from repro.query.executor import (
     ExecutionReport,
     ExecutionResult,
+    HostColumn,
     QueryExecutor,
-    _HostColumn,
-    _Relation,
+    Relation,
 )
 from repro.query.pipeline import (
     Pipeline,
@@ -186,7 +186,7 @@ class HeterogeneousExecutor:
         placement = place_pipelines(program, self.catalog, self.model, mode)
         self.last_placement = placement
 
-        outputs: Dict[str, Dict[int, _Relation]] = {CPU: {}, GPU: {}}
+        outputs: Dict[str, Dict[int, Relation]] = {CPU: {}, GPU: {}}
         staged_bytes = 0.0
         for pipeline in program.pipelines:
             device = placement.device_for(pipeline.pid)
@@ -227,7 +227,7 @@ class HeterogeneousExecutor:
         self,
         pipeline: Pipeline,
         device: str,
-        outputs: Dict[str, Dict[int, _Relation]],
+        outputs: Dict[str, Dict[int, Relation]],
     ) -> float:
         """Make every pid ``pipeline`` consumes resident on ``device``.
 
@@ -256,7 +256,7 @@ class HeterogeneousExecutor:
 
     def _stage(
         self,
-        relation: _Relation,
+        relation: Relation,
         source: QueryExecutor,
         target: QueryExecutor,
     ) -> tuple:
@@ -277,7 +277,7 @@ class HeterogeneousExecutor:
         moved = 0
         columns = {}
         for name, handle in relation.columns.items():
-            if isinstance(handle, _HostColumn):
+            if isinstance(handle, HostColumn):
                 columns[name] = handle
                 continue
             peek = getattr(handle, "peek", None)
@@ -292,7 +292,7 @@ class HeterogeneousExecutor:
                 target.backend, data, f"hetero.stage.{name}"
             )
         return (
-            _Relation(
+            Relation(
                 columns=columns,
                 meta=dict(relation.meta),
                 num_rows=relation.num_rows,

@@ -46,16 +46,16 @@ import numpy as np
 from repro.core.backend import join_reference
 from repro.core.expr import ColRef, Expr
 from repro.core.handwritten_backend import (
-    _predicate_cost,
     grouped_aggregate_host,
+    predicate_cost,
     reduction_host,
 )
 from repro.errors import PlanError
 from repro.query.executor import (
     ColumnMeta,
+    HostColumn,
     QueryExecutor,
-    _HostColumn,
-    _Relation,
+    Relation,
     composite_key_expr,
     decompose_keys,
 )
@@ -87,7 +87,7 @@ class _OnDemand:
         self.runner = runner
         self.program = program
 
-    def __getitem__(self, pid: int) -> _Relation:
+    def __getitem__(self, pid: int) -> Relation:
         return self.runner.run_pipeline(self.program.pipelines[pid], self)
 
 
@@ -102,7 +102,7 @@ class PipelineRunner:
 
     def run(
         self, plan: PlanNode, needed: Optional[Sequence[str]] = None
-    ) -> _Relation:
+    ) -> Relation:
         """Run ``plan`` and return its result relation.
 
         ``needed`` prunes the result to those columns (None = all).
@@ -111,8 +111,8 @@ class PipelineRunner:
         return _OnDemand(self, program)[program.result_pid]
 
     def run_pipeline(
-        self, pipeline: Pipeline, inputs: Mapping[int, _Relation]
-    ) -> _Relation:
+        self, pipeline: Pipeline, inputs: Mapping[int, Relation]
+    ) -> Relation:
         """Run one pipeline, fused or eager, and return its output.
 
         ``inputs`` maps the pid of every pipeline this one consumes (its
@@ -214,8 +214,8 @@ class PipelineRunner:
     # -- eager segment ------------------------------------------------------------
 
     def _run_eager(
-        self, pipeline: Pipeline, inputs: Mapping[int, _Relation]
-    ) -> _Relation:
+        self, pipeline: Pipeline, inputs: Mapping[int, Relation]
+    ) -> Relation:
         ex = self.executor
         source = pipeline.source
         if isinstance(source, TableSource):
@@ -239,7 +239,7 @@ class PipelineRunner:
                 relation = ex._apply_limit(relation, stage.plan.n)
         return self._apply_sink(relation, pipeline.sink)
 
-    def _apply_sink(self, relation: _Relation, sink: Sink) -> _Relation:
+    def _apply_sink(self, relation: Relation, sink: Sink) -> Relation:
         if isinstance(sink, GroupBySink):
             return self.executor._apply_group_by(relation, sink.plan)
         if isinstance(sink, SortSink):
@@ -251,8 +251,8 @@ class PipelineRunner:
     # -- fused segment ------------------------------------------------------------
 
     def _run_fused(
-        self, pipeline: Pipeline, inputs: Mapping[int, _Relation]
-    ) -> _Relation:
+        self, pipeline: Pipeline, inputs: Mapping[int, Relation]
+    ) -> Relation:
         backend = self.backend
         assert isinstance(pipeline.source, TableSource)
         # One kernel: every build it probes must exist before it starts.
@@ -299,7 +299,7 @@ class PipelineRunner:
                 host = {name: host[name][ids] for name in keep}
                 meta = {name: meta[name] for name in keep}
                 num_rows = len(ids)
-                predicate_flops, _cols = _predicate_cost(predicate)
+                predicate_flops, _cols = predicate_cost(predicate)
                 flops += predicate_flops + 1.0
                 ops.append("filter")
             elif isinstance(stage, ProjectStage):
@@ -360,7 +360,7 @@ class PipelineRunner:
                 key_handle = build.handle(plan.right_on)
                 build_keys = (
                     key_handle.data
-                    if isinstance(key_handle, _HostColumn)
+                    if isinstance(key_handle, HostColumn)
                     else key_handle.peek()
                 )
                 mask = np.isin(host[plan.left_on], build_keys)
@@ -428,7 +428,7 @@ class PipelineRunner:
             name: backend._wrap(array, f"compiled::{name}")
             for name, array in host.items()
         }
-        relation = _Relation(
+        relation = Relation(
             columns=columns, meta=meta, num_rows=num_rows, row_limit=row_limit
         )
         return self._apply_sink(relation, sink)
@@ -460,13 +460,13 @@ class PipelineRunner:
         fixed_flops: float,
         fixed_bytes: float,
         ops: List[str],
-    ) -> _Relation:
+    ) -> Relation:
         backend = self.backend
         aggregates = plan.aggregates
         if not plan.keys:
             # Global aggregation: the reductions ride inside the fused
             # kernel; only the scalar results cross back to the host.
-            columns: Dict[str, _HostColumn] = {}
+            columns: Dict[str, HostColumn] = {}
             out_meta: Dict[str, ColumnMeta] = {}
             for aggregate in aggregates:
                 if aggregate.kind == "count" and aggregate.expr is None:
@@ -476,12 +476,12 @@ class PipelineRunner:
                     scalar = reduction_host(values, aggregate.kind)
                     flops += 1.0
                 if aggregate.kind == "count":
-                    columns[aggregate.name] = _HostColumn(
+                    columns[aggregate.name] = HostColumn(
                         np.asarray([int(scalar)], dtype=np.int64)
                     )
                     out_meta[aggregate.name] = ColumnMeta(ctype=ColumnType.INT64)
                 else:
-                    columns[aggregate.name] = _HostColumn(
+                    columns[aggregate.name] = HostColumn(
                         np.asarray([scalar], dtype=np.float64)
                     )
                     out_meta[aggregate.name] = ColumnMeta(
@@ -500,7 +500,7 @@ class PipelineRunner:
             backend.device.transfer_to_host(
                 8 * max(len(aggregates), 1), "fused_agg_result"
             )
-            return _Relation(columns=columns, meta=out_meta, num_rows=1)
+            return Relation(columns=columns, meta=out_meta, num_rows=1)
 
         key_expr, strides = composite_key_expr(plan.keys, meta)
         key_data = self._expr_values(key_expr, host)
@@ -564,4 +564,4 @@ class PipelineRunner:
         for name, values in agg_columns.items():
             ordered[name] = backend._wrap(values, "compiled::group_values")
         ordered_meta.update(agg_meta)
-        return _Relation(columns=ordered, meta=ordered_meta, num_rows=groups)
+        return Relation(columns=ordered, meta=ordered_meta, num_rows=groups)

@@ -66,7 +66,7 @@ class ColumnMeta:
 
 
 @dataclass
-class _Relation:
+class Relation:
     """Intermediate execution state: named device handles + metadata."""
 
     columns: Dict[str, Handle]
@@ -351,7 +351,7 @@ class QueryExecutor:
 
     # -- relation transformations (the runner's eager stages) ----------------------
 
-    def _apply_limit(self, relation: _Relation, n: int) -> _Relation:
+    def _apply_limit(self, relation: Relation, n: int) -> Relation:
         limit = n if relation.row_limit is None else min(n, relation.row_limit)
         relation.row_limit = limit
         return relation
@@ -360,7 +360,7 @@ class QueryExecutor:
 
     def _scan(
         self, table_name: str, needed: Optional[Sequence[str]]
-    ) -> _Relation:
+    ) -> Relation:
         try:
             table = self.catalog[table_name]
         except KeyError:
@@ -377,7 +377,7 @@ class QueryExecutor:
                 dictionary=column.dictionary,
                 max_value=max_value,
             )
-        return _Relation(columns=columns, meta=meta, num_rows=table.num_rows)
+        return Relation(columns=columns, meta=meta, num_rows=table.num_rows)
 
     def _upload_scan_columns(
         self, table_name: str, names: Sequence[str], table: Table
@@ -420,10 +420,10 @@ class QueryExecutor:
 
     def _apply_filter(
         self,
-        relation: _Relation,
+        relation: Relation,
         plan: Filter,
         needed: Optional[Sequence[str]],
-    ) -> _Relation:
+    ) -> Relation:
         predicate_columns = {
             name: relation.handle(name) for name in plan.predicate.columns()
         }
@@ -434,7 +434,7 @@ class QueryExecutor:
             name: self.backend.gather(relation.handle(name), ids)
             for name in keep
         }
-        return _Relation(
+        return Relation(
             columns=new_columns,
             meta={name: relation.meta[name] for name in keep},
             num_rows=selected,
@@ -443,7 +443,7 @@ class QueryExecutor:
 
     # -- project -------------------------------------------------------------------------
 
-    def _apply_project(self, relation: _Relation, plan: Project) -> _Relation:
+    def _apply_project(self, relation: Relation, plan: Project) -> Relation:
         columns: Dict[str, Handle] = {}
         meta: Dict[str, ColumnMeta] = {}
         for name, expr in plan.outputs:
@@ -451,25 +451,25 @@ class QueryExecutor:
                 columns[name] = relation.handle(expr.name)
                 meta[name] = relation.meta[expr.name]
             elif any(
-                isinstance(relation.columns[ref], _HostColumn)
+                isinstance(relation.columns[ref], HostColumn)
                 for ref in expr.columns()
             ):
                 # Aggregate outputs (e.g. global SUMs feeding a ratio
                 # projection) are host-resident; evaluate on the host.
                 host = {
                     ref: relation.columns[ref].data
-                    if isinstance(relation.columns[ref], _HostColumn)
+                    if isinstance(relation.columns[ref], HostColumn)
                     else self.backend.download(relation.columns[ref])
                     for ref in expr.columns()
                 }
-                columns[name] = _HostColumn(
+                columns[name] = HostColumn(
                     np.asarray(expr.evaluate(host), dtype=np.float64)
                 )
                 meta[name] = ColumnMeta(ctype=ColumnType.FLOAT64)
             else:
                 columns[name] = self.backend.compute(relation.columns, expr)
                 meta[name] = ColumnMeta(ctype=ColumnType.FLOAT64)
-        return _Relation(
+        return Relation(
             columns=columns,
             meta=meta,
             num_rows=relation.num_rows,
@@ -480,11 +480,11 @@ class QueryExecutor:
 
     def _apply_join(
         self,
-        left: _Relation,
-        right: _Relation,
+        left: Relation,
+        right: Relation,
         plan: Join,
         needed: Optional[Sequence[str]],
-    ) -> _Relation:
+    ) -> Relation:
         left_ids, right_ids = self._run_join(
             plan.algorithm,
             left.handle(plan.left_on),
@@ -503,17 +503,17 @@ class QueryExecutor:
                 continue
             columns[name] = self.backend.gather(handle, right_ids)
             meta[name] = right.meta[name]
-        return _Relation(columns=columns, meta=meta, num_rows=matches)
+        return Relation(columns=columns, meta=meta, num_rows=matches)
 
     # -- semi / anti join ---------------------------------------------------------------
 
     def _apply_semi_join(
         self,
-        left: _Relation,
-        right: _Relation,
+        left: Relation,
+        right: Relation,
         plan: SemiJoin,
         needed: Optional[Sequence[str]],
-    ) -> _Relation:
+    ) -> Relation:
         """Join for the match ids, then keep (semi) or drop (anti) the
         matched left rows.
 
@@ -546,7 +546,7 @@ class QueryExecutor:
             name: self.backend.gather(left.handle(name), ids)
             for name in keep
         }
-        return _Relation(
+        return Relation(
             columns=columns,
             meta={name: left.meta[name] for name in keep},
             num_rows=len(keep_ids),
@@ -594,7 +594,7 @@ class QueryExecutor:
 
     # -- group by -----------------------------------------------------------------------
 
-    def _apply_group_by(self, relation: _Relation, plan: GroupBy) -> _Relation:
+    def _apply_group_by(self, relation: Relation, plan: GroupBy) -> Relation:
         if not plan.keys:
             return self._global_aggregation(plan, relation)
         key_expr, strides = composite_key_expr(plan.keys, relation.meta)
@@ -629,13 +629,13 @@ class QueryExecutor:
             ordered_meta[name] = key_meta
         ordered.update(columns)
         ordered_meta.update(meta)
-        return _Relation(
+        return Relation(
             columns=ordered, meta=ordered_meta, num_rows=group_count
         )
 
     def _global_aggregation(
-        self, plan: GroupBy, relation: _Relation
-    ) -> _Relation:
+        self, plan: GroupBy, relation: Relation
+    ) -> Relation:
         columns: Dict[str, Handle] = {}
         meta: Dict[str, ColumnMeta] = {}
         for aggregate in plan.aggregates:
@@ -646,19 +646,19 @@ class QueryExecutor:
                 values = self._expr_handle(aggregate.expr, relation)
                 scalar = self.backend.reduction(values, aggregate.kind)
             if aggregate.kind == "count":
-                columns[aggregate.name] = _HostColumn(
+                columns[aggregate.name] = HostColumn(
                     np.asarray([int(scalar)], dtype=np.int64)
                 )
                 meta[aggregate.name] = ColumnMeta(ctype=ColumnType.INT64)
             else:
-                columns[aggregate.name] = _HostColumn(
+                columns[aggregate.name] = HostColumn(
                     np.asarray([scalar], dtype=np.float64)
                 )
                 meta[aggregate.name] = ColumnMeta(ctype=ColumnType.FLOAT64)
-        return _Relation(columns=columns, meta=meta, num_rows=1)
+        return Relation(columns=columns, meta=meta, num_rows=1)
 
     def _aggregate_values(
-        self, aggregate: Aggregate, relation: _Relation, key_handle: Handle
+        self, aggregate: Aggregate, relation: Relation, key_handle: Handle
     ) -> Handle:
         if aggregate.kind == "count" and aggregate.expr is None:
             # Backends ignore values for counts; reuse the key handle.
@@ -666,16 +666,16 @@ class QueryExecutor:
         assert aggregate.expr is not None
         return self._expr_handle(aggregate.expr, relation)
 
-    def _expr_handle(self, expr: Expr, relation: _Relation) -> Handle:
+    def _expr_handle(self, expr: Expr, relation: Relation) -> Handle:
         if isinstance(expr, ColRef):
             return relation.handle(expr.name)
         return self.backend.compute(relation.columns, expr)
 
     # -- order by ----------------------------------------------------------------------
 
-    def _apply_order_by(self, relation: _Relation, plan: OrderBy) -> _Relation:
+    def _apply_order_by(self, relation: Relation, plan: OrderBy) -> Relation:
         key_handle = relation.handle(plan.key)
-        if isinstance(key_handle, _HostColumn):
+        if isinstance(key_handle, HostColumn):
             # Group-by outputs are host-resident; sort them on the host.
             order = np.argsort(key_handle.data, kind="stable")
             if plan.descending:
@@ -684,7 +684,7 @@ class QueryExecutor:
                 name: _reorder_host(handle, order, self.backend)
                 for name, handle in relation.columns.items()
             }
-            return _Relation(
+            return Relation(
                 columns=columns,
                 meta=relation.meta,
                 num_rows=relation.num_rows,
@@ -696,13 +696,13 @@ class QueryExecutor:
         )
         columns = {
             name: self.backend.gather(handle, sorted_ids)
-            if not isinstance(handle, _HostColumn)
-            else _HostColumn(
+            if not isinstance(handle, HostColumn)
+            else HostColumn(
                 handle.data[self.backend.download(sorted_ids).astype(np.int64)]
             )
             for name, handle in relation.columns.items()
         }
-        return _Relation(
+        return Relation(
             columns=columns,
             meta=relation.meta,
             num_rows=relation.num_rows,
@@ -711,14 +711,14 @@ class QueryExecutor:
 
     # -- top-k --------------------------------------------------------------------------
 
-    def _apply_top_k(self, relation: _Relation, plan: TopK) -> _Relation:
+    def _apply_top_k(self, relation: Relation, plan: TopK) -> Relation:
         """Full device sort, but only the head ``n`` row ids are gathered
         per payload column — bit-identical to OrderBy→Limit (same
         backend sort produces the same id order) with k-row gathers and
         a k-row download instead of full-width materialisation."""
         k = min(plan.n, relation.num_rows)
         key_handle = relation.handle(plan.key)
-        if isinstance(key_handle, _HostColumn):
+        if isinstance(key_handle, HostColumn):
             order = np.argsort(key_handle.data, kind="stable")
             if plan.descending:
                 order = order[::-1]
@@ -727,7 +727,7 @@ class QueryExecutor:
                 name: _reorder_host(handle, order, self.backend)
                 for name, handle in relation.columns.items()
             }
-            return _Relation(
+            return Relation(
                 columns=columns, meta=relation.meta, num_rows=k
             )
         rowids = self.backend.iota(relation.num_rows)
@@ -737,23 +737,23 @@ class QueryExecutor:
         head_ids = self.backend.gather(sorted_ids, self.backend.iota(k))
         columns = {
             name: self.backend.gather(handle, head_ids)
-            if not isinstance(handle, _HostColumn)
-            else _HostColumn(
+            if not isinstance(handle, HostColumn)
+            else HostColumn(
                 handle.data[self.backend.download(head_ids).astype(np.int64)]
             )
             for name, handle in relation.columns.items()
         }
-        return _Relation(columns=columns, meta=relation.meta, num_rows=k)
+        return Relation(columns=columns, meta=relation.meta, num_rows=k)
 
     # -- materialisation ----------------------------------------------------------------
 
-    def materialise(self, relation: _Relation, name: str) -> Table:
+    def materialise(self, relation: Relation, name: str) -> Table:
         """Download ``relation`` into a host table named ``name``,
         applying its row limit and decoding dictionary columns."""
         columns: List[Column] = []
         limit = relation.row_limit
         for column_name, handle in relation.columns.items():
-            if isinstance(handle, _HostColumn):
+            if isinstance(handle, HostColumn):
                 data = handle.data
             else:
                 data = self.backend.download(handle)
@@ -824,7 +824,7 @@ def decompose_keys(
     return result
 
 
-class _HostColumn:
+class HostColumn:
     """A small host-resident result column (group keys, scalars)."""
 
     def __init__(self, data: np.ndarray) -> None:
@@ -837,10 +837,10 @@ class _HostColumn:
 def _reorder_host(
     handle: Handle, order: np.ndarray, backend: OperatorBackend
 ) -> Handle:
-    if isinstance(handle, _HostColumn):
-        return _HostColumn(handle.data[order])
+    if isinstance(handle, HostColumn):
+        return HostColumn(handle.data[order])
     data = backend.download(handle)
-    return _HostColumn(data[order])
+    return HostColumn(data[order])
 
 
 def _decode_column(name: str, data: np.ndarray, meta: ColumnMeta) -> Column:

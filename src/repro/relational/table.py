@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -145,7 +145,12 @@ class Table:
 
 
 def concat_tables(name: str, tables: Sequence[Table]) -> Table:
-    """Vertically concatenate tables with identical schemas."""
+    """Vertically concatenate tables with identical schemas.
+
+    String columns whose parts all share one dictionary keep it, codes as
+    they are; otherwise they are re-encoded against the sorted union of
+    the parts' dictionaries.
+    """
     if not tables:
         raise SchemaError("concat_tables needs at least one table")
     first = tables[0]
@@ -157,9 +162,11 @@ def concat_tables(name: str, tables: Sequence[Table]) -> Table:
     columns: List[Column] = []
     for column_name in first.column_names:
         parts = [t.column(column_name) for t in tables]
-        merged_dictionary: Optional[List[str]] = None
+        merged_dictionary = parts[0].dictionary
         data: np.ndarray
-        if parts[0].ctype.is_dictionary_encoded:
+        if parts[0].ctype.is_dictionary_encoded and any(
+            p.dictionary != merged_dictionary for p in parts[1:]
+        ):
             # Re-encode against the union dictionary.
             union = sorted({w for p in parts for w in (p.dictionary or [])})
             index = {word: code for code, word in enumerate(union)}

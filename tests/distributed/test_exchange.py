@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.distributed import (
-    AllReduce,
     Broadcast,
     Gather,
     Shuffle,
@@ -72,30 +69,6 @@ class TestGather:
 
     def test_single_device_is_free(self):
         assert Gather((MIB,)).run(DeviceGroup.of_size(1)) == 0.0
-
-
-class TestAllReduce:
-    @pytest.mark.parametrize("n", (2, 3, 4, 5, 8))
-    def test_round_count_is_log2(self, n):
-        group = DeviceGroup.of_size(n)
-        AllReduce(MIB).run(group)
-        rounds = math.ceil(math.log2(n))
-        # Every device exchanged in at most `rounds` bulk-synchronous
-        # rounds; the wall time is bounded by rounds * (2 copies on a
-        # shared pair channel).
-        span = group.now()
-        per_round = 2 * NVLINK2.transfer_time(MIB)
-        assert span <= rounds * per_round + 1e-12
-
-    def test_all_devices_end_aligned(self):
-        group = DeviceGroup.of_size(4)
-        AllReduce(MIB).run(group)
-        clocks = [d.clock.now for d in group]
-        assert max(clocks) == pytest.approx(min(clocks))
-
-    def test_degenerate_cases_cost_nothing(self):
-        assert AllReduce(MIB).run(DeviceGroup.of_size(1)) == 0.0
-        assert AllReduce(0).run(DeviceGroup.of_size(4)) == 0.0
 
 
 class TestChooseExchange:

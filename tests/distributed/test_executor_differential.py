@@ -151,6 +151,27 @@ def test_skewed_keys_put_every_row_on_one_shard(framework, devices):
     assert result.report.per_device[0].shard_rows == 64
 
 
+@pytest.mark.parametrize("partition", ("hash:id", "range:id", "round_robin"))
+def test_unsorted_key_dictionary_keeps_code_order(framework, partition):
+    """Shards share the key dictionary: the merge keeps the codes, so the
+    groups come out in the serial run's code order, not word order."""
+    n = 1_000
+    catalog = {"t": Table("t", [
+        Column("id", ColumnType.INT64, np.arange(n, dtype=np.int64)),
+        Column.from_codes("k", np.arange(n) % 2, ["zeta", "alpha"]),
+    ])}
+    plan = GroupBy(
+        Scan("t"), ("k",),
+        (Aggregate("total", "sum", col("id")),
+         Aggregate("n", "count", None)),
+    )
+    want = _serial(framework, catalog, plan)
+    result = _distributed(framework, catalog, plan, partition, 2)
+    assert result.report.strategy == "partition_parallel"
+    assert want.column("k").to_values() == ["zeta", "alpha"]
+    assert result.table.equals(want), partition
+
+
 def test_empty_table_still_executes(framework):
     catalog = _tiny_catalog([])
     want = _serial(framework, catalog, _keyed_plan())

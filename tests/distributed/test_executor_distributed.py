@@ -1,4 +1,4 @@
-"""Distributed executor: strategies, overrides, merges, and recovery."""
+"""Distributed executor: strategies, exchange choice, and recovery."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.expr import col
 from repro.distributed import DistributedExecutor
-from repro.errors import PlanError
 from repro.gpu import GTX_1080TI, Device, DeviceGroup
 from repro.query import QueryExecutor
 from repro.query.builder import scan
@@ -132,41 +131,6 @@ class TestStrategies:
         _assert_close(result.table, _serial(framework, tpch_catalog, plan))
 
 
-class TestOverrides:
-    def test_forced_broadcast_raises_when_unsound(
-        self, framework, tpch_catalog
-    ):
-        _group, executor = _executor(
-            framework, tpch_catalog, 2, "round_robin",
-            exchange="broadcast",
-        )
-        with pytest.raises(PlanError, match="unsound"):
-            executor.execute(q4.plan())
-
-    def test_forced_shuffle_raises_without_a_join(
-        self, framework, tpch_catalog
-    ):
-        _group, executor = _executor(
-            framework, tpch_catalog, 2, "hash:l_orderkey",
-            exchange="shuffle",
-        )
-        with pytest.raises(PlanError, match="shuffle exchange"):
-            executor.execute(q1.plan())
-
-    def test_unknown_knobs_rejected(self, framework, tpch_catalog):
-        group = DeviceGroup.of_size(2)
-        with pytest.raises(PlanError):
-            DistributedExecutor(
-                group, BACKEND, tpch_catalog, "round_robin",
-                framework=framework, exchange="gossip",
-            )
-        with pytest.raises(PlanError):
-            DistributedExecutor(
-                group, BACKEND, tpch_catalog, "round_robin",
-                framework=framework, merge="tree",
-            )
-
-
 def _join_catalog(build_rows: int):
     """A fact/build pair for the exchange cost-model flip.
 
@@ -228,19 +192,3 @@ class TestResilienceAndMerge:
         _assert_close(
             result.table, _serial(framework, tpch_catalog, q6.plan())
         )
-
-    def test_all_reduce_merge_matches_gather(self, framework, tpch_catalog):
-        _g1, gather = _executor(
-            framework, tpch_catalog, 2, "hash:l_orderkey", merge="gather"
-        )
-        _g2, allreduce = _executor(
-            framework, tpch_catalog, 2, "hash:l_orderkey",
-            merge="all_reduce",
-        )
-        a = gather.execute(q1.plan())
-        b = allreduce.execute(q1.plan())
-        assert b.report.merge_mode == "all_reduce"
-        assert b.report.merge_bytes > 0
-        # Merge mode prices the interconnect pattern; the host combine
-        # is identical either way.
-        assert a.table.equals(b.table)

@@ -37,7 +37,7 @@ class TestTpchPlans:
         decision = analyze(q1.plan(), tpch_catalog, HASH_ORDERKEY)
         assert decision.eligible
         assert decision.sharded_table == "lineitem"
-        assert decision.keyed
+        assert decision.split.keyed
         assert decision.replicated == ()
         assert decision.join_exchange is None
         assert "no join" in decision.shuffle_reason
@@ -45,8 +45,8 @@ class TestTpchPlans:
     def test_q6_global_aggregate_is_eligible(self, tpch_catalog):
         decision = analyze(q6.plan(), tpch_catalog, ROUND_ROBIN)
         assert decision.eligible
-        assert not decision.keyed
-        assert decision.wrappers == ()
+        assert not decision.split.keyed
+        assert decision.split.wrappers == ()
 
     def test_q3_exposes_a_shuffle_exchange(self, tpch_catalog):
         decision = analyze(q3.plan(tpch_catalog), tpch_catalog,

@@ -26,7 +26,9 @@ from repro.query import (
 )
 from repro.query.builder import scan
 from repro.query.executor import PlanError
+from repro.relational.column import Column
 from repro.relational.table import Table
+from repro.relational.types import ColumnType
 
 
 def _catalog(n: int = 50_000, seed: int = 7):
@@ -213,14 +215,28 @@ class TestFallback:
                 serial.table.column(name).data,
             )
 
-    def test_avg_is_eligible_only_at_one_chunk(self):
+    def test_global_avg_runs_whole_table_even_at_one_chunk(self):
+        """A global avg has no partial form, so even one chunk on one
+        stream leaves it to the whole-table path — at the same cost."""
         plan = (
             scan("lineitem")
             .aggregate([("m", "avg", col("l_discount"))])
             .build()
         )
-        assert chunkable_table(plan, allow_avg=True) == "lineitem"
-        assert chunkable_table(plan, allow_avg=False) is None
+        assert chunkable_table(plan) is None
+        catalog = _catalog(n=2_000)
+        serial = _executor(catalog).execute(plan)
+        executor = _executor(catalog, scan_chunks=1, scan_streams=1)
+        chunked = executor.execute(plan)
+        assert chunked.report.simulated_seconds == serial.report.simulated_seconds
+        assert np.array_equal(
+            chunked.table.column("m").data, serial.table.column("m").data
+        )
+        streams = {
+            event.payload.get("stream")
+            for event in executor.backend.device.profiler.events
+        }
+        assert streams <= {None, 0}  # the legacy default stream only
 
     def test_validation_rejects_bad_chunk_counts(self):
         catalog = _catalog(n=100)
@@ -354,6 +370,26 @@ class TestKeyedGroupByChunks:
                 chunked.table.column(name).data,
                 serial.table.column(name).data,
             )
+
+
+class TestDictionaryKeys:
+    def test_unsorted_key_dictionary_keeps_code_order(self):
+        """Chunks share the key dictionary, so the merge must keep the
+        codes — and the whole-table path's code order — as they are."""
+        n = 1_000
+        catalog = {"t": Table("t", [
+            Column.from_codes("k", np.arange(n) % 2, ["zeta", "alpha"]),
+            Column("v", ColumnType.INT64, np.arange(n, dtype=np.int64)),
+        ])}
+        plan = (
+            scan("t")
+            .group_by(["k"], [("total", "sum", "v"), ("n", "count", None)])
+            .build()
+        )
+        serial = _executor(catalog).execute(plan).table
+        chunked = _executor(catalog, scan_chunks=2).execute(plan).table
+        assert serial.column("k").to_values() == ["zeta", "alpha"]
+        assert chunked.equals(serial)
 
 
 class TestRepeatability:

@@ -261,6 +261,14 @@ class TestConcatTables:
         merged = concat_tables("m", [a, b])
         assert merged.column("s").to_values() == ["x", "y", "z", "x"]
 
+    def test_concat_keeps_a_shared_dictionary(self):
+        words = ["zeta", "alpha"]
+        a = Table("a", [Column.from_codes("s", np.array([0, 1]), words)])
+        b = Table("b", [Column.from_codes("s", np.array([1]), list(words))])
+        merged = concat_tables("m", [a, b]).column("s")
+        assert merged.dictionary == words
+        assert np.array_equal(merged.data, [0, 1, 1])
+
     def test_concat_schema_mismatch_rejected(self):
         a = Table("a", [Column.from_values("x", [1])])
         b = Table("b", [Column.from_values("y", [1])])

@@ -1,5 +1,6 @@
 """Meta-tests: documentation coverage of the public surface."""
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -53,6 +54,25 @@ class TestDocstrings:
             and not inspect.getdoc(member)
         ]
         assert not undocumented
+
+
+class TestModuleSeams:
+    @pytest.mark.parametrize("package", ["query", "distributed", "hetero"])
+    def test_no_private_names_imported(self, package):
+        """A package reaches other modules only through public names."""
+        root = pathlib.Path(repro.__file__).parent / package
+        private = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.module or ""
+                ).startswith("repro."):
+                    private += [
+                        f"{path.name}:{node.lineno} {alias.name}"
+                        for alias in node.names
+                        if alias.name.startswith("_")
+                    ]
+        assert private == []
 
 
 class TestProjectLayout:

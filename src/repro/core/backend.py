@@ -26,6 +26,8 @@ from repro.core.expr import Expr
 from repro.core.predicate import Predicate
 from repro.errors import UnsupportedOperatorError
 from repro.gpu.device import Device
+# Re-exported: every backend and oracle imports the join from here.
+from repro.relational.hashjoin import join_reference as join_reference
 
 #: A backend-native device array; kept deliberately untyped at this layer.
 Handle = Any
@@ -202,30 +204,3 @@ class OperatorBackend(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(device={self.device.spec.name!r})"
-
-
-def join_reference(
-    left_keys: np.ndarray, right_keys: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Oracle inner equi-join used by tests and the CPU backend.
-
-    Returns (left ids, right ids) sorted by (left id, right id).
-    """
-    order_r = np.argsort(right_keys, kind="stable")
-    sorted_r = right_keys[order_r]
-    lo = np.searchsorted(sorted_r, left_keys, side="left")
-    hi = np.searchsorted(sorted_r, left_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    left_ids = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
-    if total:
-        starts = np.repeat(lo, counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        right_ids = order_r[starts + offsets]
-    else:
-        right_ids = np.empty(0, dtype=np.int64)
-    # Canonical order for comparisons.
-    order = np.lexsort((right_ids, left_ids))
-    return left_ids[order], right_ids[order].astype(np.int64)

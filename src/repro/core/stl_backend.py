@@ -62,6 +62,7 @@ from repro.libs.thrust.functional import (
     minimum,
     multiplies,
 )
+from repro.relational.hashjoin import expand_runs
 
 #: Shared-memory tile width for the nested-loops join functor: each thread
 #: block stages TILE outer keys while streaming the inner relation, so the
@@ -274,9 +275,17 @@ class StlStyleBackend(OperatorBackend):
         )
         self.device.transfer_to_host(8, "merge_join_count")
         # Expansion kernel: one thread per output pair gathers both row ids.
-        left_ids, right_ids = self._expand_matches(
-            left_sorted.peek(), left_rowids.peek(),
-            right_rowids.peek(), lo.peek(), hi.peek(),
+        # Scattering each left row's run by its row id (inverting the sort's
+        # permutation) lists the runs in left-id order, and the stable
+        # sort_by_key keeps each run's right row ids ascending: the pairs
+        # come out in canonical order.
+        starts = np.empty(n, dtype=np.int64)
+        run_counts = np.empty(n, dtype=np.int64)
+        starts[left_rowids.peek()] = lo.peek()
+        run_counts[left_rowids.peek()] = counts.peek()
+        left_ids, right_ids = expand_runs(
+            np.arange(n, dtype=np.int64), starts, run_counts,
+            right_rowids.peek(),
         )
         self.runtime._charge(
             "merge_join_expand",
@@ -289,27 +298,6 @@ class StlStyleBackend(OperatorBackend):
             self._wrap(left_ids, "mj_left_ids"),
             self._wrap(right_ids, "mj_right_ids"),
         )
-
-    @staticmethod
-    def _expand_matches(
-        left_sorted: np.ndarray,
-        left_rowids: np.ndarray,
-        right_rowids: np.ndarray,
-        lo: np.ndarray,
-        hi: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        counts = (hi - lo).astype(np.int64)
-        total = int(counts.sum())
-        left_ids = np.repeat(left_rowids.astype(np.int64), counts)
-        if total:
-            starts = np.repeat(lo.astype(np.int64), counts)
-            offset_base = np.repeat(np.cumsum(counts) - counts, counts)
-            positions = starts + (np.arange(total, dtype=np.int64) - offset_base)
-            right_ids = right_rowids.astype(np.int64)[positions]
-        else:
-            right_ids = np.empty(0, dtype=np.int64)
-        order = np.lexsort((right_ids, left_ids))
-        return left_ids[order], right_ids[order]
 
     def _iota_vector(self, n: int) -> Handle:
         """Row-id vector 0..n-1 (one generation kernel)."""

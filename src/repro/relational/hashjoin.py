@@ -17,13 +17,17 @@ Structure (the textbook two-phase GPU hash join):
 * **probe** — one kernel streams the probe-side keys, walks each key's
   collision chain, and compacts matching ``(probe id, build id)`` pairs.
 
-Semantics are executed in NumPy (the join output is the canonical
-:func:`~repro.core.backend.join_reference` ordering so every backend
-produces bit-identical results); *costs* are charged to the simulated
-clock through :meth:`~repro.gpu.device.Device.launch`.  The probe kernel's
-traffic is scaled by the *measured* collision-chain length of the actual
-key distribution: duplicate-heavy build sides produce long chains and a
+Semantics are executed in NumPy by :func:`join_reference`, which every
+backend's join pairs come from, so every backend produces bit-identical
+results; *costs* are charged to the simulated clock through
+:meth:`~repro.gpu.device.Device.launch`.  The probe kernel's traffic is
+scaled by the *measured* collision-chain length of the actual key
+distribution: duplicate-heavy build sides produce long chains and a
 genuinely more expensive probe, exactly as on real hardware.
+
+:func:`join_reference` emits canonical order (by left id, then right id)
+without sorting pairs: it probes left rows in id order, and each row's
+matches are one run of the build side's stable argsort, in row order.
 """
 
 from __future__ import annotations
@@ -159,32 +163,59 @@ class HashJoinResult:
         return len(self.left_ids)
 
 
-def _canonical_join(
+def join_reference(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All matching (left id, right id) pairs in (left, right) order.
+    """All matching (left id, right id) pairs of an inner equi-join.
 
-    Same contract as :func:`repro.core.backend.join_reference`; duplicated
-    here (sort + searchsorted) to keep this module free of a core import
-    cycle.
+    Pairs come sorted by left id, then right id, both as int64, and NaN
+    keys match each other.  The right keys are the build side.  One stable
+    argsort of them and one binary search per left (probe) row cost
+    O(m log m + n log m + P) for m build rows, n probe rows and P pairs.
     """
-    order_r = np.argsort(right_keys, kind="stable")
-    sorted_r = right_keys[order_r]
-    lo = np.searchsorted(sorted_r, left_keys, side="left")
-    hi = np.searchsorted(sorted_r, left_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    left_ids = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
-    if total:
-        starts = np.repeat(lo, counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        right_ids = order_r[starts + offsets]
-    else:
-        right_ids = np.empty(0, dtype=np.int64)
-    order = np.lexsort((right_ids, left_ids))
-    return left_ids[order], right_ids[order].astype(np.int64)
+    dtype = np.result_type(left_keys.dtype, right_keys.dtype)
+    probe = left_keys.astype(dtype, copy=False)
+    build = right_keys.astype(dtype, copy=False)
+    if len(probe) == 0 or len(build) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    order = np.argsort(build, kind="stable")
+    sorted_build = build[order]
+    starts = np.searchsorted(sorted_build, probe, side="left")
+    # A probe past the last key compares against that key, which is smaller.
+    found = sorted_build[np.minimum(starts, len(build) - 1)]
+    hit = found == probe
+    new_run = np.append(True, sorted_build[1:] != sorted_build[:-1])
+    if dtype.kind == "f":
+        # NaN keys are equal as the sort sees them: one run at the end.
+        nan_build = np.isnan(sorted_build)
+        new_run[1:] &= ~(nan_build[1:] & nan_build[:-1])
+        hit |= np.isnan(found) & np.isnan(probe)
+    left_ids = np.flatnonzero(hit)
+    run_starts = np.flatnonzero(new_run)
+    if len(run_starts) == len(build):  # unique build keys: runs of one
+        return left_ids, order[starts[left_ids]]
+    run_ends = np.empty(len(build), dtype=np.int64)
+    run_ends[run_starts] = np.append(run_starts[1:], len(build))
+    lo = starts[left_ids]
+    return expand_runs(left_ids, lo, run_ends[lo] - lo, order)
+
+
+def expand_runs(
+    probe_ids: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    build_ids: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pair each probe id with its run ``build_ids[start:start + count]``.
+
+    Returns (probe ids, build ids), run after run in ``probe_ids`` order.
+    """
+    left_ids = np.repeat(probe_ids, counts)
+    run_offsets = np.cumsum(counts) - counts
+    positions = np.repeat(starts - run_offsets, counts) + np.arange(
+        len(left_ids), dtype=np.int64
+    )
+    return left_ids, build_ids[positions]
 
 
 class SimulatedHashJoin:
@@ -300,7 +331,7 @@ class SimulatedHashJoin:
         )
         try:
             build_seconds = self._build_phase(build_keys, layout)
-            left_ids, right_ids = _canonical_join(left, right)
+            left_ids, right_ids = join_reference(left, right)
             avg_chain = self._measure_chains(build_keys, probe_keys, layout)
             probe_seconds = self._probe_phase(
                 probe_keys, layout, avg_chain, len(left_ids)

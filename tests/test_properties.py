@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core import (
     ArrayFireBackend,
+    BoostComputeBackend,
     HandwrittenBackend,
     ThrustBackend,
     col_lt,
@@ -42,6 +43,39 @@ key_arrays = arrays(
 )
 
 BACKEND_FACTORIES = (ThrustBackend, ArrayFireBackend, HandwrittenBackend)
+
+# Join keys: a small range so matches and duplicate runs are common.
+_int_keys = st.integers(min_value=-20, max_value=20)
+_float_keys = st.one_of(
+    _int_keys.map(float), st.just(-0.0), st.just(float("nan"))
+)
+
+
+@st.composite
+def join_sides(draw):
+    """(left keys, right keys): int32, int64, float64 or mixed int sides,
+    either side possibly empty, the right (build) side unique or not."""
+    kind = draw(st.sampled_from(["int32", "int64", "float64", "mixed"]))
+    if kind == "mixed":
+        dtypes = draw(st.permutations([np.int32, np.int64]))
+    else:
+        dtypes = [np.dtype(kind)] * 2
+    elements = _float_keys if kind == "float64" else _int_keys
+    left = draw(arrays(dtypes[0], st.integers(0, 30), elements=elements))
+    right = draw(arrays(
+        dtypes[1], st.integers(0, 30), elements=elements,
+        unique=draw(st.booleans()),
+    ))
+    return left, right
+
+
+def _brute_force_join(left, right):
+    """Every (left id, right id) pair whose keys are equal, NaN == NaN."""
+    equal = left[:, None] == right[None, :]
+    if left.dtype.kind == "f" or right.dtype.kind == "f":
+        equal |= np.isnan(left)[:, None] & np.isnan(right)[None, :]
+    left_ids, right_ids = np.nonzero(equal)
+    return left_ids.astype(np.int64), right_ids.astype(np.int64)
 
 
 def _backends():
@@ -187,6 +221,36 @@ class TestJoinProperties:
             order = np.lexsort((dr, dl))
             assert np.array_equal(dl[order], reference[0]), method
             assert np.array_equal(dr[order], reference[1]), method
+
+    @given(sides=join_sides())
+    @settings(max_examples=150, deadline=None)
+    def test_join_reference_matches_brute_force(self, sides):
+        """Same pairs, same canonical order, both arrays int64."""
+        left, right = sides
+        got_l, got_r = join_reference(left, right)
+        want_l, want_r = _brute_force_join(left, right)
+        assert got_l.dtype == np.int64 and got_r.dtype == np.int64
+        assert np.array_equal(got_l, want_l)
+        assert np.array_equal(got_r, want_r)
+
+    @pytest.mark.parametrize("factory", [ThrustBackend, BoostComputeBackend])
+    @given(
+        left=arrays(np.int32, st.integers(min_value=0, max_value=50),
+                    elements=st.integers(min_value=0, max_value=8)),
+        right=arrays(np.int32, st.integers(min_value=0, max_value=50),
+                     elements=st.integers(min_value=0, max_value=8)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_stl_merge_join_emits_canonical_order(self, factory, left, right):
+        """The composed merge join returns join_reference's arrays as they
+        are: no caller re-sorts its pairs."""
+        backend = factory(Device())
+        got_l, got_r = backend.merge_join(
+            backend.upload(left), backend.upload(right)
+        )
+        want_l, want_r = join_reference(left, right)
+        assert np.array_equal(backend.download(got_l), want_l)
+        assert np.array_equal(backend.download(got_r), want_r)
 
 
 class TestJitProperties:

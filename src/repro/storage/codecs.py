@@ -21,6 +21,7 @@ effective interconnect bandwidth" argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -53,22 +54,50 @@ def _bit_view(values: np.ndarray) -> np.ndarray:
 
 def _pack_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Pack ``values`` (non-negative uint64, all < 2**width) into a
-    little-endian ``width``-bit stream stored as uint8."""
+    little-endian ``width``-bit stream stored as uint8.
+
+    Value ``i`` occupies stream bits ``[i*width, (i+1)*width)``, least
+    significant bit first; its bits are read off the value's own
+    little-endian bytes, so the bit matrix costs one byte per bit.
+    """
     if width == 0 or values.size == 0:
         return np.empty(0, dtype=np.uint8)
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = (values[:, None] >> shifts) & np.uint64(1)
-    return np.packbits(bits.astype(np.uint8), bitorder="little")
+    octets = np.ascontiguousarray(values, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(
+        octets.reshape(-1, 8), axis=1, count=width, bitorder="little"
+    )
+    return np.packbits(bits, bitorder="little")
 
 
 def _unpack_bits(packed: np.ndarray, count: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_pack_bits`: recover ``count`` uint64 values."""
+    """Inverse of :func:`_pack_bits`: recover ``count`` uint64 values.
+
+    Value ``i`` starts at stream bit ``i*width``, that is at bit
+    ``shift = i*width & 7`` of byte ``start = i*width >> 3``.  The
+    little-endian 64-bit word read at byte ``start`` therefore holds it
+    at bit ``shift``, so one unaligned word gather and one shift recover
+    ``64 - shift >= 57`` of its bits.  Only a value wider than 57 bits
+    can spill into a ninth byte, whose bits land at ``64 - shift``;
+    that shift is split as ``1 + (63 - shift)`` so it never reaches 64.
+    Nine zero bytes of padding keep every read inside the buffer.
+    """
     if width == 0 or count == 0:
         return np.zeros(count, dtype=np.uint64)
-    bits = np.unpackbits(packed, count=count * width, bitorder="little")
-    bits = bits.reshape(count, width).astype(np.uint64)
-    shifts = np.arange(width, dtype=np.uint64)
-    return (bits << shifts).sum(axis=1, dtype=np.uint64)
+    padded = np.zeros(len(packed) + 9, dtype=np.uint8)
+    padded[:len(packed)] = packed
+    words = np.ndarray(
+        (len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,)
+    )
+    offsets = np.arange(0, count * width, width, dtype=np.uint64)
+    start = (offsets >> np.uint64(3)).astype(np.intp)
+    shift = offsets & np.uint64(7)
+    values = words[start] >> shift
+    if width > 57:
+        ninth = padded[start + 8].astype(np.uint64)
+        values |= (ninth << np.uint64(1)) << (np.uint64(63) - shift)
+    if width < 64:
+        values &= np.uint64((1 << width) - 1)
+    return values
 
 
 @dataclass(frozen=True)
@@ -93,9 +122,10 @@ class EncodedColumn:
         """Decoded size in bytes."""
         return self.n * self.dtype.itemsize
 
-    @property
+    @cached_property
     def compressed_nbytes(self) -> int:
-        """Stored size in bytes, header included."""
+        """Stored size in bytes, header included (computed once: the
+        column is frozen and an array's ``nbytes`` cannot change)."""
         return HEADER_BYTES + sum(int(a.nbytes) for a in self.payload)
 
     @property
@@ -187,7 +217,12 @@ def encode(values: np.ndarray, codec: str) -> EncodedColumn:
 
 
 def decode(encoded: EncodedColumn) -> np.ndarray:
-    """Exact inverse of :func:`encode` for every codec."""
+    """Exact inverse of :func:`encode` for every codec.
+
+    The result never shares memory with the payload: ``repeat``, the
+    dictionary gather and ``astype`` each allocate, so only ``plain``
+    copies explicitly.
+    """
     dtype = encoded.dtype
     uint = _UINT_BY_ITEMSIZE[dtype.itemsize]
     if encoded.codec == "plain":
@@ -202,11 +237,11 @@ def decode(encoded: EncodedColumn) -> np.ndarray:
         codes = _unpack_bits(packed, encoded.n, encoded.width)
         if len(uniques) == 0:
             return np.empty(0, dtype=dtype)
-        return np.array(uniques[codes.astype(np.int64)], copy=True)
+        return uniques[codes.astype(np.intp)]
     if encoded.codec == "bitpack":
         deltas = _unpack_bits(encoded.payload[0], encoded.n, encoded.width)
         bits = (deltas + np.uint64(encoded.base)).astype(uint)
-        return bits.view(dtype).copy()
+        return bits.view(dtype)
     raise ValueError(f"unknown codec {encoded.codec!r}")
 
 

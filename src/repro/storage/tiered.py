@@ -290,9 +290,10 @@ class TieredColumnStore:
         decompress in ONE batched kernel launch, so the fetch pays the
         link latency and the launch overhead once — not once per
         (column, chunk).  Semantics are identical to per-column
-        :meth:`fetch` calls; only the fixed costs are amortised.
+        :meth:`fetch` calls; only the fixed costs are amortised.  A
+        repeated column name is fetched once.
         """
-        names = list(columns)
+        names = list(dict.fromkeys(columns))
         covers: Dict[str, List[_Chunk]] = {}
         spans: Dict[str, Tuple[int, int]] = {}
         all_cover: List[_Chunk] = []
@@ -389,12 +390,12 @@ class TieredColumnStore:
         if not host:
             return
         total = sum(c.compressed_nbytes for c in host)
-        if self.device_budget is not None:
-            while (
-                self._device_bytes + total > self.device_budget
-                and self._spill_coldest() is not None
-            ):
-                pass
+        budget = self.device_budget
+        if budget is not None and self._device_bytes + total > budget:
+            for victim in self._lru_chunks(TIER_DEVICE):
+                self._spill_chunk(victim)
+                if self._device_bytes + total <= budget:
+                    break
         buffers: List[DeviceBuffer] = []
         try:
             for chunk in host:
@@ -454,7 +455,14 @@ class TieredColumnStore:
         return nbytes
 
     def _lru_chunks(self, tier: str) -> List[_Chunk]:
-        """Unpinned chunks on ``tier``, coldest first."""
+        """Unpinned chunks on ``tier``, coldest first.
+
+        An eviction round builds this list once and walks it: moving one
+        chunk off ``tier`` changes no other chunk's tick or pins and
+        moves no other chunk onto or off ``tier`` (a spill's host-budget
+        sweep only moves host chunks to NVMe), so the rest of the list is
+        exactly what a rebuild would return.
+        """
         victims = [
             chunk
             for chunks in self._columns.values()
@@ -464,21 +472,13 @@ class TieredColumnStore:
         victims.sort(key=lambda chunk: chunk.tick)
         return victims
 
-    def _spill_coldest(self) -> Optional[int]:
-        """Spill the coldest unpinned device chunk; None when pinned out."""
-        victims = self._lru_chunks(TIER_DEVICE)
-        if not victims:
-            return None
-        return self._spill_chunk(victims[0])
-
     def _enforce_host_budget(self) -> None:
-        if self.host_budget is None:
+        if self.host_budget is None or self._host_bytes <= self.host_budget:
             return
-        while self._host_bytes > self.host_budget:
-            victims = self._lru_chunks(TIER_HOST)
-            if not victims:
+        for victim in self._lru_chunks(TIER_HOST):
+            self._demote_chunk(victim)
+            if self._host_bytes <= self.host_budget:
                 return
-            self._demote_chunk(victims[0])
 
     def _pressure_spill(self, nbytes_needed: int) -> int:
         """Memory-pressure callback: spill cold chunks down-tier.
@@ -489,14 +489,13 @@ class TieredColumnStore:
         fail over to the normal OOM path.
         """
         freed = 0
-        while freed < nbytes_needed:
+        for victim in self._lru_chunks(TIER_DEVICE):
+            if freed >= nbytes_needed:
+                break
             try:
-                released = self._spill_coldest()
+                freed += self._spill_chunk(victim)
             except TransferError:
                 break
-            if released is None:
-                break
-            freed += released
         return freed
 
     # -- lifecycle ---------------------------------------------------------

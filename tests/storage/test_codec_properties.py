@@ -25,6 +25,7 @@ from repro.storage import (
     encode_best,
     encode_cost,
 )
+from repro.storage.codecs import _pack_bits, _unpack_bits
 
 DTYPES = (np.int64, np.float64, np.int32, np.uint16, np.uint8)
 
@@ -150,6 +151,53 @@ class TestEdgeCases:
     def test_unknown_codec_is_rejected(self):
         with pytest.raises(ValueError, match="unknown codec"):
             encode(np.arange(4), "zstd")
+
+
+def _pack_bits_oracle(values: np.ndarray, width: int) -> np.ndarray:
+    """The stream bit by bit: value ``i``'s bit ``b`` is stream bit
+    ``i*width + b``, packed least significant bit first."""
+    if width == 0 or values.size == 0:
+        return np.empty(0, dtype=np.uint8)
+    shifts = np.arange(width, dtype=np.uint64)
+    bits = (values[:, None] >> shifts) & np.uint64(1)
+    return np.packbits(bits.astype(np.uint8), bitorder="little")
+
+
+class TestBitStream:
+    """Every width 0-64, so the unpacker's nine-byte branch (widths
+    above 57) is pinned deterministically, not left to Hypothesis."""
+
+    @pytest.mark.parametrize("width", range(65))
+    def test_pack_matches_oracle_and_unpack_inverts(self, width):
+        rng = np.random.default_rng(width)
+        top = (1 << width) - 1
+        for count in (1, 7, 8, 9, 63, 64, 65, 8191):
+            values = rng.integers(
+                0, top, count, dtype=np.uint64, endpoint=True
+            )
+            values[0] = 0
+            values[-1] = top  # with count 1, only the all-ones value
+            packed = _pack_bits(values, width)
+            assert packed.dtype == np.uint8
+            assert packed.tobytes() == (
+                _pack_bits_oracle(values, width).tobytes()
+            ), count
+            unpacked = _unpack_bits(packed, count, width)
+            assert unpacked.dtype == np.uint64
+            assert np.array_equal(unpacked, values), count
+
+
+class TestDecodeOwnsItsResult:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_decode_never_aliases_the_payload(self, dtype, codec):
+        values = np.array([3, 3, 3, 1, 2, 2, 7, 0] * 64).astype(dtype)
+        encoded = encode(values, codec)
+        first = decode(encoded)
+        for array in encoded.payload:
+            assert not np.shares_memory(first, array)
+        first.view(np.uint8)[:] ^= 0xFF
+        assert _bits_equal(decode(encoded), values)
 
 
 class TestBatchDecodeCost:

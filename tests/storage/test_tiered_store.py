@@ -18,6 +18,7 @@ import pytest
 from repro.core import HandwrittenBackend
 from repro.errors import TransferError
 from repro.gpu import GTX_1080TI, Device
+from repro.gpu.memory import align_size
 from repro.storage import (
     TIER_DEVICE,
     TIER_HOST,
@@ -101,6 +102,35 @@ class TestResidency:
                 backend.download(handles[name]), values[100:2600]
             )
 
+    def test_fetch_many_repeated_name_fetches_once(self):
+        """A repeated column name pins, promotes and decodes its chunks
+        once, and ``close`` then returns the device to its baseline."""
+
+        def fetch(names):
+            device = _device()
+            store = _store(device)
+            columns = _ingest_demo(store)
+            backend = HandwrittenBackend(device)
+            used = device.memory.used_bytes
+            live = device.memory.live_buffer_count
+            cursor = device.profiler.mark()
+            handles = store.fetch_many("demo", names, backend)
+            h2d = device.profiler.summary(cursor).bytes_h2d
+            assert store._device_bytes == store.tier_bytes()[TIER_DEVICE]
+            assert np.array_equal(
+                backend.download(handles["qty"]), columns["qty"]
+            )
+            for handle in handles.values():
+                handle.free()
+            store.close()
+            assert device.memory.used_bytes == used
+            assert device.memory.live_buffer_count == live
+            assert store._device_bytes == store.tier_bytes()[TIER_DEVICE]
+            stats = store.stats
+            return stats.promotes, stats.fetches, stats.decoded_bytes, h2d
+
+        assert fetch(["qty", "qty"]) == fetch(["qty"])
+
     def test_fetch_many_batches_transfers_and_launches(self):
         """The batched fetch pays one H2D transfer and one decode launch
         for the whole column set — that is the economics that keeps
@@ -160,13 +190,32 @@ class TestResidency:
         store.close()
 
 
+def _record_spills(store, monkeypatch):
+    """Record every chunk the store spills, in spill order."""
+    spilled = []
+    spill = store._spill_chunk
+
+    def recording_spill(chunk):
+        spilled.append(chunk)
+        return spill(chunk)
+
+    monkeypatch.setattr(store, "_spill_chunk", recording_spill)
+    return spilled
+
+
+def _rows(chunks):
+    return [(chunk.column, chunk.lo) for chunk in chunks]
+
+
 class TestEvictionPolicies:
-    def test_device_budget_spills_lru_first(self):
+    def test_device_budget_spills_lru_first(self, monkeypatch):
         device = _device()
         store = _store(device, device_budget=12_000)
         _ingest_demo(store)
         backend = HandwrittenBackend(device)
         store.fetch("demo", "price", backend)  # cold
+        store.fetch("demo", "price", backend, 0, 1024)  # re-warm chunk 0
+        spilled = _record_spills(store, monkeypatch)
         store.fetch("demo", "qty", backend)  # hot: spills price chunks
         assert store.stats.spills > 0
         tiers = store.tier_bytes()
@@ -174,6 +223,15 @@ class TestEvictionPolicies:
         # qty (most recently used) stayed resident.
         qty_chunks = store._columns[("demo", "qty")]
         assert any(c.tier == TIER_DEVICE for c in qty_chunks)
+        # The victims were the coldest unpinned chunks in tick order,
+        # and spilling stopped as soon as qty fit: the re-warmed price
+        # chunk stayed, and without the last victim qty would not fit.
+        assert _rows(spilled) == [
+            ("price", 1024), ("price", 2048), ("price", 3072)
+        ]
+        assert store._columns[("demo", "price")][0].tier == TIER_DEVICE
+        last = spilled[-1].compressed_nbytes
+        assert tiers[TIER_DEVICE] + last > 12_000
 
     def test_host_budget_demotes_to_nvme(self):
         device = _device()
@@ -193,7 +251,7 @@ class TestEvictionPolicies:
         assert np.array_equal(out, columns["price"])
         assert store.stats.nvme_reads > 0
 
-    def test_pressure_callback_spills_cold_chunks(self):
+    def test_pressure_callback_spills_cold_chunks(self, monkeypatch):
         device = _device(memory_bytes=200_000)
         store = _store(device)
         _ingest_demo(store, rows=8192)
@@ -201,10 +259,19 @@ class TestEvictionPolicies:
         store.fetch("demo", "price", backend)
         before = store.tier_bytes()[TIER_DEVICE]
         assert before > 0
+        spilled = _record_spills(store, monkeypatch)
+        needed = align_size(160_000) - device.memory.free_bytes
         # An allocation bigger than free memory triggers pressure relief.
         big = device.allocate(160_000, "intermediate")
         assert store.tier_bytes()[TIER_DEVICE] < before
         assert store.stats.spills > 0
+        # Relief spilled the coldest chunks first and stopped once the
+        # bytes it was asked for were freed.
+        assert _rows(spilled) == [
+            ("price", 0), ("price", 1024), ("price", 2048)
+        ]
+        freed = [chunk.compressed_nbytes for chunk in spilled]
+        assert sum(freed[:-1]) < needed <= sum(freed)
         device.free(big)
 
     def test_close_releases_device_residency_and_detaches(self):

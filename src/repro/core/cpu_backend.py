@@ -21,6 +21,7 @@ from repro.core.backend import (
 from repro.core.expr import Expr
 from repro.core.predicate import Predicate
 from repro.gpu.device import Device
+from repro.libs.base import check_same_length
 
 
 class CpuReferenceBackend(OperatorBackend):
@@ -126,6 +127,7 @@ class CpuReferenceBackend(OperatorBackend):
         values: np.ndarray,
         descending: bool = False,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        check_same_length(keys, values, "sort_by_key")
         order = np.argsort(keys, kind="stable")
         if descending:
             order = order[::-1]

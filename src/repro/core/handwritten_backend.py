@@ -42,8 +42,9 @@ from repro.core.predicate import (
 )
 from repro.gpu.device import Device
 from repro.gpu.kernel import TUNED_PROFILE
-from repro.libs.base import DeviceArray, LibraryRuntime
+from repro.libs.base import DeviceArray, LibraryRuntime, check_same_length
 from repro.relational.hashjoin import HashJoinConfig, SimulatedHashJoin
+from repro.relational.keys import stable_argsort, unique_inverse
 
 
 class HandwrittenRuntime(LibraryRuntime):
@@ -80,10 +81,10 @@ def grouped_aggregate_host(
 
     Shared by the eager hash-aggregate kernel below and the compiled
     backend's fused group-by, so both produce bit-identical groups:
-    keys from ``np.unique`` (ascending), float64 accumulation, count as
-    int64.
+    keys ascending, as ``np.unique`` returns them, float64 accumulation,
+    count as int64.
     """
-    unique_keys, inverse = np.unique(key_data, return_inverse=True)
+    unique_keys, inverse = unique_inverse(key_data)
     groups = len(unique_keys)
     if agg == "sum":
         out = np.bincount(
@@ -345,7 +346,8 @@ class HandwrittenBackend(OperatorBackend):
     def sort_by_key(
         self, keys: Handle, values: Handle, descending: bool = False
     ) -> Tuple[Handle, Handle]:
-        order = np.argsort(keys.peek(), kind="stable")
+        check_same_length(keys, values, "sort_by_key")
+        order = stable_argsort(keys.peek())
         if descending:
             order = order[::-1]
         digit_passes = max(1, keys.itemsize)

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import LibraryError
 from repro.libs.arrayfire.array import Array, ArrayFireRuntime
+from repro.relational.keys import stable_argsort
 
 
 def _runtime(array: Array) -> ArrayFireRuntime:
@@ -290,7 +291,7 @@ def sort_by_key(keys: Array, values: Array, ascending: bool = True) -> Tuple[Arr
         )
     key_data = keys.storage().peek()
     value_data = values.storage().peek()
-    order = np.argsort(key_data, kind="stable")
+    order = stable_argsort(key_data)
     if not ascending:
         order = order[::-1]
     digit_passes = _radix_passes(keys.dtype)

@@ -21,6 +21,7 @@ from repro.libs.base import check_same_length
 from repro.libs.boost_compute.context import BoostComputeRuntime, vector
 from repro.libs.boost_compute.lambda_ import LambdaExpr
 from repro.libs.thrust.functional import Functor
+from repro.relational.keys import searchsorted, stable_argsort
 
 FunctorLike = Union[Functor, LambdaExpr]
 
@@ -279,7 +280,7 @@ def sort_by_key(keys: vector, values: vector, descending: bool = False) -> None:
     """``boost::compute::sort_by_key`` — in-place key/value radix sort."""
     runtime = _runtime(keys)
     check_same_length(keys, values, "sort_by_key")
-    order = np.argsort(keys.data, kind="stable")
+    order = stable_argsort(keys.data)
     if descending:
         order = order[::-1]
     keys.data[:] = keys.data[order]
@@ -530,7 +531,7 @@ def unique(v: vector) -> vector:
 def lower_bound(haystack: vector, needles: vector) -> vector:
     """Vectorized ``boost::compute::lower_bound`` over a sorted haystack."""
     runtime = _runtime(haystack)
-    positions = np.searchsorted(haystack.data, needles.data, side="left").astype(
+    positions = searchsorted(haystack.data, needles.data, side="left").astype(
         np.int32
     )
     log_n = float(max(1, int(np.ceil(np.log2(max(len(haystack), 2))))))
@@ -550,7 +551,7 @@ def lower_bound(haystack: vector, needles: vector) -> vector:
 def upper_bound(haystack: vector, needles: vector) -> vector:
     """Vectorized ``boost::compute::upper_bound`` over a sorted haystack."""
     runtime = _runtime(haystack)
-    positions = np.searchsorted(haystack.data, needles.data, side="right").astype(
+    positions = searchsorted(haystack.data, needles.data, side="right").astype(
         np.int32
     )
     log_n = float(max(1, int(np.ceil(np.log2(max(len(haystack), 2))))))

@@ -16,6 +16,7 @@ from repro.errors import LibraryError
 from repro.libs.base import check_same_length
 from repro.libs.thrust.functional import Functor
 from repro.libs.thrust.vector import ThrustRuntime, device_vector
+from repro.relational.keys import searchsorted, stable_argsort
 
 
 def _runtime(vector: device_vector) -> ThrustRuntime:
@@ -358,7 +359,7 @@ def sort_by_key(keys: device_vector, values: device_vector,
     """
     runtime = _runtime(keys)
     check_same_length(keys, values, "sort_by_key")
-    order = np.argsort(keys.data, kind="stable")
+    order = stable_argsort(keys.data)
     if descending:
         order = order[::-1]
     keys.data[:] = keys.data[order]
@@ -676,9 +677,7 @@ def lower_bound(
     reads.
     """
     runtime = _runtime(haystack)
-    positions = np.searchsorted(
-        haystack.data, needles.data, side="left"
-    ).astype(np.int32)
+    positions = searchsorted(haystack.data, needles.data, side="left").astype(np.int32)
     log_n = float(max(1, int(np.ceil(np.log2(max(len(haystack), 2))))))
     runtime._charge(
         "lower_bound",
@@ -697,9 +696,7 @@ def upper_bound(
 ) -> device_vector:
     """``thrust::upper_bound`` — first position greater than each needle."""
     runtime = _runtime(haystack)
-    positions = np.searchsorted(
-        haystack.data, needles.data, side="right"
-    ).astype(np.int32)
+    positions = searchsorted(haystack.data, needles.data, side="right").astype(np.int32)
     log_n = float(max(1, int(np.ceil(np.log2(max(len(haystack), 2))))))
     runtime._charge(
         "upper_bound",

@@ -28,6 +28,10 @@ genuinely more expensive probe, exactly as on real hardware.
 :func:`join_reference` emits canonical order (by left id, then right id)
 without sorting pairs: it probes left rows in id order, and each row's
 matches are one run of the build side's stable argsort, in row order.
+For m build rows, n probe rows and P pairs it costs O(m + n + R + P)
+when the range R of build-key values is narrow (integer keys, R below
+2**16 for the sort and at most m + n for the search; see
+:mod:`repro.relational.keys`), and O(m log m + n log m + P) otherwise.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 
 from repro.gpu.device import Device
 from repro.gpu.kernel import TUNED_PROFILE, EfficiencyProfile, KernelCost
+from repro.relational.keys import searchsorted, stable_argsort
 
 #: Fibonacci multiplicative hashing constant (2^64 / golden ratio) — the
 #: standard cheap integer mixer for power-of-two tables.
@@ -169,18 +174,21 @@ def join_reference(
     """All matching (left id, right id) pairs of an inner equi-join.
 
     Pairs come sorted by left id, then right id, both as int64, and NaN
-    keys match each other.  The right keys are the build side.  One stable
-    argsort of them and one binary search per left (probe) row cost
-    O(m log m + n log m + P) for m build rows, n probe rows and P pairs.
+    keys match each other.  The right keys are the build side: one stable
+    argsort of them, then one search per left (probe) row.  For m build
+    rows, n probe rows and P pairs that costs O(m + n + R + P) when the
+    build keys are integers whose range R of values is narrow, the sort
+    being a radix sort and each search a table lookup, and
+    O(m log m + n log m + P) otherwise.
     """
     dtype = np.result_type(left_keys.dtype, right_keys.dtype)
     probe = left_keys.astype(dtype, copy=False)
     build = right_keys.astype(dtype, copy=False)
     if len(probe) == 0 or len(build) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    order = np.argsort(build, kind="stable")
+    order = stable_argsort(build)
     sorted_build = build[order]
-    starts = np.searchsorted(sorted_build, probe, side="left")
+    starts = searchsorted(sorted_build, probe, side="left")
     # A probe past the last key compares against that key, which is smaller.
     found = sorted_build[np.minimum(starts, len(build) - 1)]
     hit = found == probe

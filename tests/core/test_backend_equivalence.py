@@ -17,7 +17,7 @@ from repro.core import (
 from repro.core.backend import join_reference
 from repro.core.cpu_backend import CpuReferenceBackend
 from repro.core.expr import col, lit
-from repro.errors import UnsupportedOperatorError
+from repro.errors import ReproError, UnsupportedOperatorError
 
 ORACLE = CpuReferenceBackend()
 
@@ -288,6 +288,13 @@ class TestSortEquivalence:
         assert np.array_equal(
             gpu_backend.download(got_values), expected_values
         )
+
+    @pytest.mark.parametrize("values_length", [5, 2])
+    def test_sort_by_key_rejects_mismatched_lengths(self, any_backend, values_length):
+        keys = any_backend.upload(np.array([3, 1, 2], dtype=np.int32))
+        values = any_backend.upload(np.arange(values_length, dtype=np.float64) * 10)
+        with pytest.raises(ReproError):
+            any_backend.sort_by_key(keys, values)
 
 
 class TestPrimitivesEquivalence:

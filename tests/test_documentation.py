@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import json
 import pathlib
 import pkgutil
 import re
@@ -18,6 +20,8 @@ MODULES = [
         repro.__path__, prefix="repro."
     )
 ]
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
 class TestDocstrings:
@@ -195,3 +199,72 @@ class TestCiWorkflow:
     def test_benchmark_smoke_runs_the_trajectory_self_tests(self, ci_text):
         job = _job(ci_text, "benchmark-smoke")
         assert "python -m pytest -q benchmarks/trajectory" in job
+
+
+@pytest.fixture(scope="module")
+def compare():
+    """``benchmarks/trajectory/compare.py``, executed from its file."""
+    path = ROOT / "benchmarks" / "trajectory" / "compare.py"
+    spec = importlib.util.spec_from_file_location("trajectory_compare", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda path: path.name)
+class TestBenchRecords:
+    """Every committed ``BENCH_*.json`` re-derives its verdicts from its own
+    records with ``compare.py``.  Each verdict is recomputed under the bound
+    stored with it, never ``BENCHMARK.json``'s, so a later bound change
+    breaks no old file."""
+
+    @staticmethod
+    def _spec(verdicts):
+        better = {
+            metric["name"]: metric["better"]
+            for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        }
+        return {"end_to_end": [
+            {"name": name, "unit": stored["unit"], "better": better[name],
+             "bound": float(stored["bound"].rstrip("%")) / 100}
+            for name, stored in verdicts.items()
+        ]}
+
+    def test_verdicts_recompute_from_the_records(self, path, compare):
+        bench = json.loads(path.read_text())
+        for workload, entry in bench["workloads"].items():
+            # At least 10 complete pairs, the side that runs first alternating.
+            pairs = compare.paired(entry["records"], workload, 0)
+            spec = self._spec(entry["verdicts"])
+            for name, unit, parent, change, wins, bound, verdict in compare.end_to_end_rows(
+                pairs, spec
+            ):
+                assert entry["verdicts"][name] == {
+                    "unit": unit, "parent_median_q1_q3": parent,
+                    "change_median_q1_q3": change, "wins": wins, "bound": bound,
+                    "verdict": verdict,
+                }, (workload, name)
+            assert entry["report"] == compare.report(entry["records"], spec).split("\n")
+            simulated = [name for name in entry["verdicts"] if name.startswith(compare.SIMULATED)]
+            for parent, change in pairs:
+                for name in simulated:
+                    assert parent["metrics"][name] == change["metrics"][name], workload
+            failed = {
+                "parent": sum(parent["failed"] for parent, _change in pairs),
+                "change": sum(change["failed"] for _parent, change in pairs),
+            }
+            assert entry["failed"] == failed
+            assert failed["change"] <= failed["parent"], workload
+
+    def test_claimed_gain_recomputes(self, path, compare):
+        bench = json.loads(path.read_text())
+        claim = bench.get("claim")
+        if not claim:
+            return
+        entry = bench["workloads"][claim["workload"]]
+        pairs = compare.paired(entry["records"], claim["workload"], 0)
+        verdicts = {
+            row[0]: row[-1]
+            for row in compare.end_to_end_rows(pairs, self._spec(entry["verdicts"]))
+        }
+        assert claim["verdict"] == verdicts[claim["metric"]] == compare.GAIN

@@ -49,21 +49,41 @@ _int_keys = st.integers(min_value=-20, max_value=20)
 _float_keys = st.one_of(
     _int_keys.map(float), st.just(-0.0), st.just(float("nan"))
 )
+# ...and far-apart keys, so a side's range of values can be wider than
+# both sides together: 0, +-70,000 and the int32 extremes, plus the int64
+# extremes on an int64 side.
+_INT32, _INT64 = np.iinfo(np.int32), np.iinfo(np.int64)
+_WIDE_INT32 = [0, 70_000, -70_000, _INT32.min, _INT32.min + 1, _INT32.max - 1, _INT32.max]
+_WIDE_INT64 = _WIDE_INT32 + [_INT64.min, _INT64.min + 1, _INT64.max - 1, _INT64.max]
+
+
+def _int_side_keys(draw, dtype):
+    """The small key range, or on some sides that range plus wide keys."""
+    if not draw(st.booleans()):
+        return _int_keys
+    wide = _WIDE_INT64 if np.dtype(dtype) == np.int64 else _WIDE_INT32
+    return st.one_of(_int_keys, st.sampled_from(wide))
 
 
 @st.composite
 def join_sides(draw):
     """(left keys, right keys): int32, int64, float64 or mixed int sides,
-    either side possibly empty, the right (build) side unique or not."""
+    either side possibly empty, the right (build) side unique or not.
+    An int side may also hold wide keys, so ``join_reference`` runs both
+    its NumPy path and its lookup table, with probes outside the build
+    side's range."""
     kind = draw(st.sampled_from(["int32", "int64", "float64", "mixed"]))
     if kind == "mixed":
         dtypes = draw(st.permutations([np.int32, np.int64]))
     else:
         dtypes = [np.dtype(kind)] * 2
-    elements = _float_keys if kind == "float64" else _int_keys
-    left = draw(arrays(dtypes[0], st.integers(0, 30), elements=elements))
+    if kind == "float64":
+        left_keys = right_keys = _float_keys
+    else:
+        left_keys, right_keys = (_int_side_keys(draw, dtype) for dtype in dtypes)
+    left = draw(arrays(dtypes[0], st.integers(0, 30), elements=left_keys))
     right = draw(arrays(
-        dtypes[1], st.integers(0, 30), elements=elements,
+        dtypes[1], st.integers(0, 30), elements=right_keys,
         unique=draw(st.booleans()),
     ))
     return left, right

@@ -44,7 +44,7 @@ from repro.gpu.device import Device
 from repro.gpu.kernel import TUNED_PROFILE
 from repro.libs.base import DeviceArray, LibraryRuntime, check_same_length
 from repro.relational.hashjoin import HashJoinConfig, SimulatedHashJoin
-from repro.relational.keys import stable_argsort, unique_inverse
+from repro.relational.keys import exclusive_cumsum, stable_argsort, unique_inverse
 
 
 class HandwrittenRuntime(LibraryRuntime):
@@ -368,11 +368,7 @@ class HandwrittenBackend(OperatorBackend):
     def prefix_sum(self, values: Handle) -> Handle:
         data = values.peek()
         acc_dtype = np.int64 if np.issubdtype(data.dtype, np.integer) else np.float64
-        scanned = np.cumsum(data, dtype=acc_dtype)
-        if len(scanned):
-            scanned = np.roll(scanned, 1)
-            scanned[0] = 0
-        result = scanned.astype(data.dtype, copy=False)
+        result = exclusive_cumsum(data, acc_dtype).astype(data.dtype, copy=False)
         # Decoupled-lookback scan: the data crosses DRAM exactly once each
         # way — the structural advantage over the libraries' 3-phase scans.
         self.runtime._charge(

@@ -340,7 +340,9 @@ class Device:
         """Price and execute one kernel launch; returns its duration."""
         duration = kernel_duration(cost, self.spec, profile)
         start, _end, stream_id = self._schedule(
-            ENGINE_COMPUTE, duration, self._resolve_stream(stream)
+            ENGINE_COMPUTE,
+            duration,
+            stream if stream is not None else self._current_stream,
         )
         self.profiler.record(
             prof.KERNEL,

@@ -19,15 +19,27 @@ definition site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.gpu.device import DeviceSpec
 
 
-@dataclass(frozen=True)
-class KernelCost:
+class _KernelCostFields(NamedTuple):
+    name: str
+    elements: int
+    flops_per_element: float
+    bytes_read_per_element: float
+    bytes_written_per_element: float
+    fixed_flops: float
+    fixed_bytes: float
+    passes: int
+    total_flops: float
+    total_bytes: float
+
+
+class KernelCost(_KernelCostFields):
     """Work description for a single kernel launch.
 
     Attributes:
@@ -41,41 +53,56 @@ class KernelCost:
         passes: number of sequential device-wide passes the kernel makes
             (radix-sort digits, scan up/down sweeps); each pass incurs one
             tail latency because the SMs drain between passes.
+        total_flops: total arithmetic work for the launch.
+        total_bytes: total DRAM traffic for the launch.
+
+    The two totals are computed once, at construction, from the fields
+    above.  A cost is an immutable tuple: every launch builds one, so
+    construction must stay cheap.
     """
 
-    name: str
-    elements: int
-    flops_per_element: float = 1.0
-    bytes_read_per_element: float = 0.0
-    bytes_written_per_element: float = 0.0
-    fixed_flops: float = 0.0
-    fixed_bytes: float = 0.0
-    passes: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.elements < 0:
-            raise ValueError(f"kernel elements cannot be negative: {self.elements}")
-        if self.passes < 1:
-            raise ValueError(f"kernel passes must be >= 1: {self.passes}")
-
-    @property
-    def total_flops(self) -> float:
-        """Total arithmetic work for the launch."""
-        return self.elements * self.flops_per_element + self.fixed_flops
-
-    @property
-    def total_bytes(self) -> float:
-        """Total DRAM traffic for the launch."""
-        per_element = self.bytes_read_per_element + self.bytes_written_per_element
-        return self.elements * per_element + self.fixed_bytes
+    def __new__(
+        cls,
+        name: str,
+        elements: int,
+        flops_per_element: float = 1.0,
+        bytes_read_per_element: float = 0.0,
+        bytes_written_per_element: float = 0.0,
+        fixed_flops: float = 0.0,
+        fixed_bytes: float = 0.0,
+        passes: int = 1,
+    ) -> "KernelCost":
+        if elements < 0:
+            raise ValueError(f"kernel elements cannot be negative: {elements}")
+        if passes < 1:
+            raise ValueError(f"kernel passes must be >= 1: {passes}")
+        return tuple.__new__(cls, (
+            name,
+            elements,
+            flops_per_element,
+            bytes_read_per_element,
+            bytes_written_per_element,
+            fixed_flops,
+            fixed_bytes,
+            passes,
+            elements * flops_per_element + fixed_flops,
+            elements * (bytes_read_per_element + bytes_written_per_element)
+            + fixed_bytes,
+        ))
 
     def scaled(self, factor: float) -> "KernelCost":
         """Return a copy with all per-element work scaled by ``factor``."""
-        return replace(
-            self,
-            flops_per_element=self.flops_per_element * factor,
-            bytes_read_per_element=self.bytes_read_per_element * factor,
-            bytes_written_per_element=self.bytes_written_per_element * factor,
+        return KernelCost(
+            self.name,
+            self.elements,
+            self.flops_per_element * factor,
+            self.bytes_read_per_element * factor,
+            self.bytes_written_per_element * factor,
+            self.fixed_flops,
+            self.fixed_bytes,
+            self.passes,
         )
 
 

@@ -235,10 +235,9 @@ def pool_class_size(nbytes: int, alignment: int = ALLOCATION_ALIGNMENT) -> int:
     in exchange for high freelist reuse across slightly-varying sizes.
     """
     aligned = align_size(nbytes, alignment)
-    cls = alignment
-    while cls < aligned:
-        cls <<= 1
-    return cls
+    # ``aligned`` is a positive multiple of ``alignment``, so this is the
+    # smallest ``alignment * 2**k`` at or above it.
+    return alignment << (aligned // alignment - 1).bit_length()
 
 
 @dataclass(frozen=True)

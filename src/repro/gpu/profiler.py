@@ -11,8 +11,9 @@ movements".
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 # Event kinds used throughout the simulator.
 KERNEL = "kernel"
@@ -38,21 +39,34 @@ HOST_IO = "host_io"
 #: like a synchronous RPC: the coordinator waits for the bytes.
 NET = "net"
 
-_ALL_KINDS = (
+_ALL_KINDS = frozenset((
     KERNEL, TRANSFER_H2D, TRANSFER_D2H, TRANSFER_D2D,
     COMPILE, ALLOC, FREE, SPAN, HOST_IO, NET,
-)
+))
+
+#: The :class:`ProfileSummary` byte counter of each byte-carrying kind.
+_BYTE_FIELDS = {
+    TRANSFER_H2D: "bytes_h2d",
+    TRANSFER_D2H: "bytes_d2h",
+    TRANSFER_D2D: "bytes_d2d",
+    HOST_IO: "bytes_io",
+    NET: "bytes_net",
+}
 
 
-@dataclass(frozen=True)
-class Event:
-    """A single costed event on the simulated device."""
+class Event(NamedTuple):
+    """A single costed event on the simulated device.
+
+    A plain tuple: a device records one per launch, transfer, allocation
+    and free, so construction must stay cheap.  A hand-built event gets
+    an empty, read-only payload.
+    """
 
     kind: str
     name: str
     start: float
     duration: float
-    payload: Dict[str, Any] = field(default_factory=dict)
+    payload: Mapping[str, Any] = MappingProxyType({})
 
     @property
     def end(self) -> float:
@@ -127,7 +141,9 @@ class Profiler:
             return
         if kind not in _ALL_KINDS:
             raise ValueError(f"unknown event kind: {kind!r}")
-        self._events.append(Event(kind, name, start, duration, payload))
+        self._events.append(
+            tuple.__new__(Event, (kind, name, start, duration, payload))
+        )
 
     def mark(self) -> int:
         """Return a cursor to the current end of the trace."""
@@ -154,63 +170,31 @@ class Profiler:
         return len(self._events)
 
     def summary(self, since: int = 0) -> ProfileSummary:
-        """Aggregate the trace (or its tail) into a :class:`ProfileSummary`."""
-        events = self._events[since:]
+        """Aggregate the trace (or its tail) into a :class:`ProfileSummary`.
+
+        Each kind's time is summed in recording order, so a summary is a
+        pure function of the events it covers.
+        """
         time_by_kind: Dict[str, float] = defaultdict(float)
-        count_by_kind: Counter = Counter()
-        bytes_h2d = 0
-        bytes_d2h = 0
-        bytes_d2d = 0
-        bytes_io = 0
-        bytes_net = 0
+        count_by_kind: Dict[str, int] = defaultdict(int)
+        bytes_by_kind: Dict[str, int] = defaultdict(int)
         pool_hits = 0
         pool_misses = 0
-        for event in events:
-            if event.kind == SPAN:
+        for kind, _name, _start, duration, payload in self._events[since:]:
+            if kind == SPAN:
                 continue  # annotation over already-recorded device work
-            time_by_kind[event.kind] += event.duration
-            count_by_kind[event.kind] += 1
-            if event.kind == TRANSFER_H2D:
-                bytes_h2d += int(event.payload.get("nbytes", 0))
-            elif event.kind == TRANSFER_D2H:
-                bytes_d2h += int(event.payload.get("nbytes", 0))
-            elif event.kind == TRANSFER_D2D:
-                bytes_d2d += int(event.payload.get("nbytes", 0))
-            elif event.kind == HOST_IO:
-                bytes_io += int(event.payload.get("nbytes", 0))
-            elif event.kind == NET:
-                bytes_net += int(event.payload.get("nbytes", 0))
-            elif event.kind == ALLOC:
-                pool = event.payload.get("pool")
+            time_by_kind[kind] += duration
+            count_by_kind[kind] += 1
+            if kind in _BYTE_FIELDS:
+                bytes_by_kind[kind] += int(payload.get("nbytes", 0))
+            elif kind == ALLOC:
+                pool = payload.get("pool")
                 if pool == "hit":
                     pool_hits += 1
                 elif pool == "miss":
                     pool_misses += 1
-        total = sum(time_by_kind.values())
-        return ProfileSummary(
-            total_time=total,
-            time_by_kind=dict(time_by_kind),
-            count_by_kind=dict(count_by_kind),
-            kernel_count=count_by_kind.get(KERNEL, 0),
-            kernel_time=time_by_kind.get(KERNEL, 0.0),
-            transfer_time=(
-                time_by_kind.get(TRANSFER_H2D, 0.0)
-                + time_by_kind.get(TRANSFER_D2H, 0.0)
-                + time_by_kind.get(TRANSFER_D2D, 0.0)
-            ),
-            compile_time=time_by_kind.get(COMPILE, 0.0),
-            bytes_h2d=bytes_h2d,
-            bytes_d2h=bytes_d2h,
-            alloc_time=(
-                time_by_kind.get(ALLOC, 0.0) + time_by_kind.get(FREE, 0.0)
-            ),
-            pool_hits=pool_hits,
-            pool_misses=pool_misses,
-            bytes_d2d=bytes_d2d,
-            io_time=time_by_kind.get(HOST_IO, 0.0),
-            bytes_io=bytes_io,
-            net_time=time_by_kind.get(NET, 0.0),
-            bytes_net=bytes_net,
+        return _build_summary(
+            time_by_kind, count_by_kind, bytes_by_kind, pool_hits, pool_misses
         )
 
     def kernel_histogram(self, since: int = 0) -> Dict[str, int]:
@@ -386,27 +370,8 @@ def chrome_trace_json(events: Sequence[Event], indent: int = 1) -> str:
     """
     import json
 
-    track_names = dict(_TRACK_NAMES)
-    if any(event.kind == SPAN for event in events):
-        track_names[_REQUEST_TRACK] = "requests"
-    if any(event.kind == TRANSFER_D2D for event in events):
-        track_names[_PEER_TRACK] = "peer copies (D2D)"
-    if any(event.kind == HOST_IO for event in events):
-        track_names[_HOST_IO_TRACK] = "host I/O (NVMe)"
-    if any(event.kind == NET for event in events):
-        track_names[_NET_TRACK] = "network (cluster)"
-    metadata: List[Dict[str, Any]] = [
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": tid,
-            "args": {"name": track_name},
-        }
-        for tid, track_name in sorted(track_names.items())
-    ]
     document = {
-        "traceEvents": metadata + to_chrome_trace(events),
+        "traceEvents": track_metadata(events, pid=0) + to_chrome_trace(events),
         "displayTimeUnit": "ms",
     }
     return json.dumps(document, indent=indent)
@@ -425,47 +390,48 @@ def merge_summaries(summaries: List[ProfileSummary]) -> Optional[ProfileSummary]
         return None
     time_by_kind: Dict[str, float] = defaultdict(float)
     count_by_kind: Counter = Counter()
-    bytes_h2d = 0
-    bytes_d2h = 0
-    bytes_d2d = 0
-    bytes_io = 0
-    bytes_net = 0
-    pool_hits = 0
-    pool_misses = 0
+    bytes_by_kind: Dict[str, int] = defaultdict(int)
     for s in summaries:
         for kind, duration in s.time_by_kind.items():
             time_by_kind[kind] += duration
         count_by_kind.update(s.count_by_kind)
-        bytes_h2d += s.bytes_h2d
-        bytes_d2h += s.bytes_d2h
-        bytes_d2d += s.bytes_d2d
-        bytes_io += s.bytes_io
-        bytes_net += s.bytes_net
-        pool_hits += s.pool_hits
-        pool_misses += s.pool_misses
-    total = sum(time_by_kind.values())
+        for kind, counter in _BYTE_FIELDS.items():
+            bytes_by_kind[kind] += getattr(s, counter)
+    return _build_summary(
+        time_by_kind,
+        count_by_kind,
+        bytes_by_kind,
+        sum(s.pool_hits for s in summaries),
+        sum(s.pool_misses for s in summaries),
+    )
+
+
+def _build_summary(
+    time_by_kind: Dict[str, float],
+    count_by_kind: Dict[str, int],
+    bytes_by_kind: Dict[str, int],
+    pool_hits: int,
+    pool_misses: int,
+) -> ProfileSummary:
+    """A :class:`ProfileSummary` from per-kind totals (SPAN excluded)."""
+    time = time_by_kind.get
     return ProfileSummary(
-        total_time=total,
+        total_time=sum(time_by_kind.values()),
         time_by_kind=dict(time_by_kind),
         count_by_kind=dict(count_by_kind),
         kernel_count=count_by_kind.get(KERNEL, 0),
-        kernel_time=time_by_kind.get(KERNEL, 0.0),
+        kernel_time=time(KERNEL, 0.0),
         transfer_time=(
-            time_by_kind.get(TRANSFER_H2D, 0.0)
-            + time_by_kind.get(TRANSFER_D2H, 0.0)
-            + time_by_kind.get(TRANSFER_D2D, 0.0)
+            time(TRANSFER_H2D, 0.0) + time(TRANSFER_D2H, 0.0) + time(TRANSFER_D2D, 0.0)
         ),
-        compile_time=time_by_kind.get(COMPILE, 0.0),
-        bytes_h2d=bytes_h2d,
-        bytes_d2h=bytes_d2h,
-        alloc_time=(
-            time_by_kind.get(ALLOC, 0.0) + time_by_kind.get(FREE, 0.0)
-        ),
+        compile_time=time(COMPILE, 0.0),
+        alloc_time=time(ALLOC, 0.0) + time(FREE, 0.0),
         pool_hits=pool_hits,
         pool_misses=pool_misses,
-        bytes_d2d=bytes_d2d,
-        io_time=time_by_kind.get(HOST_IO, 0.0),
-        bytes_io=bytes_io,
-        net_time=time_by_kind.get(NET, 0.0),
-        bytes_net=bytes_net,
+        io_time=time(HOST_IO, 0.0),
+        net_time=time(NET, 0.0),
+        **{
+            counter: bytes_by_kind.get(kind, 0)
+            for kind, counter in _BYTE_FIELDS.items()
+        },
     )

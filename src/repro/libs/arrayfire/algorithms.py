@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import LibraryError
 from repro.libs.arrayfire.array import Array, ArrayFireRuntime
-from repro.relational.keys import stable_argsort
+from repro.relational.keys import exclusive_cumsum, stable_argsort
 
 
 def _runtime(array: Array) -> ArrayFireRuntime:
@@ -331,14 +331,11 @@ def _scan(array: Array, inclusive: bool) -> Array:
     runtime = _runtime(array)
     data = array.storage().peek()
     acc = _accumulator_dtype(array.dtype)
-    if len(data) == 0:
-        result = np.empty(0, dtype=array.dtype)
-    else:
+    if inclusive:
         summed = np.cumsum(data, dtype=acc)
-        if not inclusive:
-            summed = np.roll(summed, 1)
-            summed[0] = 0
-        result = summed.astype(array.dtype, copy=False)
+    else:
+        summed = exclusive_cumsum(data, acc)
+    result = summed.astype(array.dtype, copy=False)
     runtime._charge(
         "scan" if not inclusive else "accum",
         len(array),

@@ -10,7 +10,6 @@ efficiency profile carry the *costs*.
 
 from __future__ import annotations
 
-import weakref
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +24,18 @@ ArrayLike = Union[np.ndarray, Sequence[int], Sequence[float]]
 
 
 class DeviceArray:
-    """A typed, fixed-length array resident on the simulated device."""
+    """A typed, fixed-length array resident on the simulated device.
+
+    Device memory is released exactly once: by :meth:`free`, or when the
+    host handle is collected (``__del__``, also for an array in a
+    reference cycle), the way RAII vectors (``thrust::device_vector``)
+    behave.
+    """
+
+    #: Whether the device allocation is still live.  The class-level
+    #: ``False`` keeps an array whose ``__init__`` never ran to the end
+    #: from releasing anything.
+    _alive = False
 
     def __init__(
         self,
@@ -36,11 +46,7 @@ class DeviceArray:
         self.runtime = runtime
         self.data = data
         self.buffer = buffer
-        # Auto-release device memory when the host handle is collected, the
-        # way RAII vectors (thrust::device_vector) behave.
-        self._finalizer = weakref.finalize(
-            self, _release_buffer, runtime.device, buffer
-        )
+        self._alive = True
 
     # -- introspection -----------------------------------------------------
 
@@ -72,16 +78,20 @@ class DeviceArray:
 
     def free(self) -> None:
         """Explicitly release the device allocation (idempotent)."""
-        if self._finalizer.alive:
-            self._finalizer()
+        if self._alive:
+            self._alive = False
+            _release_buffer(self.runtime.device, self.buffer)
+
+    #: Collecting the host handle releases the allocation the same way.
+    __del__ = free
 
     @property
     def alive(self) -> bool:
         """Whether the device allocation is still live."""
-        return self._finalizer.alive
+        return self._alive
 
     def _require_alive(self) -> None:
-        if not self._finalizer.alive:
+        if not self._alive:
             raise InvalidBufferError(f"use after free of {self!r}")
 
     # -- host access -------------------------------------------------------
@@ -104,7 +114,7 @@ class DeviceArray:
 
 
 def _release_buffer(device: Device, buffer: DeviceBuffer) -> None:
-    """Finalizer target: free a buffer if the device still owns it."""
+    """Free a buffer unless it was already freed."""
     if not buffer.freed:
         device.free(buffer)
 

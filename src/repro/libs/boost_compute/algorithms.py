@@ -21,7 +21,7 @@ from repro.libs.base import check_same_length
 from repro.libs.boost_compute.context import BoostComputeRuntime, vector
 from repro.libs.boost_compute.lambda_ import LambdaExpr
 from repro.libs.thrust.functional import Functor
-from repro.relational.keys import searchsorted, stable_argsort
+from repro.relational.keys import exclusive_cumsum, searchsorted, stable_argsort
 
 FunctorLike = Union[Functor, LambdaExpr]
 
@@ -203,13 +203,8 @@ def exclusive_scan(v: vector, init: float = 0.0) -> vector:
     """
     runtime = _runtime(v)
     acc_dtype = _accumulator_dtype(v.dtype)
-    if len(v):
-        shifted = np.cumsum(v.data, dtype=acc_dtype)
-        shifted = np.roll(shifted, 1)
-        shifted[0] = 0
-        shifted += acc_dtype.type(init)
-    else:
-        shifted = np.empty(0, dtype=acc_dtype)
+    shifted = exclusive_cumsum(v.data, acc_dtype)
+    shifted += acc_dtype.type(init)
     result = np.ascontiguousarray(shifted.astype(v.dtype, copy=False))
     runtime.ensure_program(f"exclusive_scan<{v.dtype}>", _COMPLEXITY["scan"])
     runtime._charge(

@@ -16,7 +16,7 @@ from repro.errors import LibraryError
 from repro.libs.base import check_same_length
 from repro.libs.thrust.functional import Functor
 from repro.libs.thrust.vector import ThrustRuntime, device_vector
-from repro.relational.keys import searchsorted, stable_argsort
+from repro.relational.keys import exclusive_cumsum, searchsorted, stable_argsort
 
 
 def _runtime(vector: device_vector) -> ThrustRuntime:
@@ -281,12 +281,8 @@ def exclusive_scan(
     """
     runtime = _runtime(vector)
     acc_dtype = _accumulator_dtype(vector.dtype)
-    shifted = np.empty(len(vector), dtype=acc_dtype)
-    if len(vector):
-        np.cumsum(vector.data, dtype=acc_dtype, out=shifted)
-        shifted = np.roll(shifted, 1)
-        shifted[0] = 0
-        shifted += acc_dtype.type(init)
+    shifted = exclusive_cumsum(vector.data, acc_dtype)
+    shifted += acc_dtype.type(init)
     result = shifted.astype(vector.dtype, copy=False)
     runtime._charge(
         "exclusive_scan",

@@ -1,4 +1,5 @@
-"""Exact linear-time sorts and searches of narrow integer keys.
+"""Exact linear-time sorts and searches of narrow integer keys, and an
+exclusive scan without a rolled copy.
 
 Grouped aggregation, the libraries' ``sort_by_key``, ``lower_bound`` and
 ``upper_bound``, and :func:`~repro.relational.hashjoin.join_reference`
@@ -35,6 +36,12 @@ it in linear time; otherwise they call NumPy.
 
 Each table has at most as many entries as the inputs have elements (two
 more for the search), so no fast path allocates more than its inputs.
+
+:func:`exclusive_cumsum` is the exclusive prefix sum the libraries' scans
+return: ``np.cumsum``, shifted right by one with a zero head.  It writes
+the prefix sums of ``data[:-1]`` behind the zero instead of rolling a
+full copy.  ``np.cumsum`` adds in order, so those are the first
+``n - 1`` prefix sums of ``data``, float rounding included.
 """
 
 from __future__ import annotations
@@ -111,3 +118,13 @@ def unique_inverse(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             inverse = (np.cumsum(present, dtype=np.intp) - 1)[offsets]
             return uniques, inverse
     return np.unique(keys, return_inverse=True)
+
+
+def exclusive_cumsum(data: np.ndarray, acc_dtype: np.dtype) -> np.ndarray:
+    """``np.roll(np.cumsum(data, dtype=acc_dtype), 1)`` with the head set
+    to zero: ``out[i]`` is the sum of ``data[:i]`` in ``acc_dtype``."""
+    out = np.empty(len(data), dtype=acc_dtype)
+    if len(data):
+        out[0] = 0
+        np.cumsum(data[:-1], dtype=acc_dtype, out=out[1:])
+    return out

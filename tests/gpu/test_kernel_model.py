@@ -1,5 +1,6 @@
 """Unit tests for the kernel cost model (roofline behaviour)."""
 
+import numpy as np
 import pytest
 
 from repro.gpu.device import GTX_1080TI
@@ -36,6 +37,41 @@ class TestKernelCost:
         assert doubled.flops_per_element == 2.0
         assert doubled.bytes_read_per_element == 4.0
         assert doubled.elements == 10
+
+    def test_fields_cannot_be_assigned(self):
+        cost = KernelCost("k", elements=10)
+        for field in ("name", "elements", "flops_per_element", "passes",
+                      "total_flops", "total_bytes"):
+            with pytest.raises(AttributeError):
+                setattr(cost, field, 1)
+
+    def test_totals_match_the_per_element_formulas(self):
+        """The stored totals equal, bit for bit, the formulas they
+        replace: ``elements * flops + fixed_flops`` and
+        ``elements * (read + written) + fixed_bytes``."""
+        rng = np.random.default_rng(22)
+        for _ in range(2000):
+            elements = int(rng.integers(0, 1 << int(rng.integers(1, 41))))
+            work = [float(x) for x in rng.random(5) * 10.0 ** rng.integers(-3, 7, 5)]
+            if rng.random() < 0.3:
+                work[int(rng.integers(5))] = 0.0
+            flops, read, written, fixed_flops, fixed_bytes = work
+            passes = int(rng.integers(1, 9))
+            cost = KernelCost("k", elements, flops, read, written,
+                              fixed_flops, fixed_bytes, passes)
+            assert cost.total_flops.hex() == (elements * flops + fixed_flops).hex()
+            assert cost.total_bytes.hex() == (
+                elements * (read + written) + fixed_bytes
+            ).hex()
+            factor = float(rng.random() * 4.0)
+            scaled = cost.scaled(factor)
+            rebuilt = KernelCost(
+                "k", elements, flops * factor, read * factor, written * factor,
+                fixed_flops, fixed_bytes, passes,
+            )
+            assert scaled == rebuilt
+            assert scaled.total_flops.hex() == rebuilt.total_flops.hex()
+            assert scaled.total_bytes.hex() == rebuilt.total_bytes.hex()
 
 
 class TestEfficiencyProfile:

@@ -1,5 +1,8 @@
 """Unit tests for the device memory manager."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.errors import DeviceMemoryError, InvalidBufferError
@@ -27,6 +30,26 @@ class TestAlignSize:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             align_size(-1)
+
+
+class TestPoolClassSize:
+    @pytest.mark.parametrize("alignment", [ALLOCATION_ALIGNMENT, 1, 384])
+    def test_matches_doubling_from_the_alignment(self, alignment):
+        """Every size up to 2**20 and the powers of two +-1 up to 2**40
+        get the smallest ``alignment * 2**k`` at or above their aligned
+        size, found here by doubling from the alignment."""
+        edges = [2**k + d for k in range(1, 41) for d in (-1, 0, 1)]
+        sizes = np.concatenate([np.arange(2**20 + 1), edges]).astype(np.int64)
+        aligned = np.maximum(-(-sizes // alignment), 1) * alignment
+        expected = np.full_like(sizes, alignment)
+        while (short := expected < aligned).any():
+            expected[short] <<= 1
+        got = np.fromiter(
+            map(pool_class_size, sizes.tolist(), itertools.repeat(alignment)),
+            dtype=np.int64,
+            count=len(sizes),
+        )
+        assert np.array_equal(got, expected)
 
 
 class TestMemoryManager:

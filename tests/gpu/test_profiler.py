@@ -37,6 +37,31 @@ class TestProfiler:
     def test_event_end(self):
         event = Event(KERNEL, "k", 1.0, 0.5)
         assert event.end == pytest.approx(1.5)
+        keyword = Event(kind=KERNEL, name="k", start=1.0, duration=0.5,
+                        payload={"nbytes": 8})
+        assert keyword.end == event.end
+        assert keyword.payload == {"nbytes": 8}
+
+    def test_event_fields_cannot_be_assigned(self):
+        event = Event(KERNEL, "k", 1.0, 0.5)
+        for field in ("kind", "name", "start", "duration", "payload"):
+            with pytest.raises(AttributeError):
+                setattr(event, field, None)
+
+    def test_hand_built_event_payload_is_empty_and_read_only(self):
+        event = Event(KERNEL, "k", 1.0, 0.5)
+        assert dict(event.payload) == {}
+        with pytest.raises(TypeError):
+            event.payload["nbytes"] = 8
+        assert dict(Event(KERNEL, "k", 2.0, 0.5).payload) == {}
+
+    def test_recorded_event_carries_its_payload(self):
+        profiler = Profiler()
+        profiler.record(TRANSFER_H2D, "up", 0.5, 0.25, nbytes=1000)
+        (event,) = profiler.events
+        assert event == Event(TRANSFER_H2D, "up", 0.5, 0.25, {"nbytes": 1000})
+        assert isinstance(event, Event)
+        assert event.end == 0.75
 
     def test_summary_aggregates(self):
         summary = _filled_profiler().summary()

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.relational.keys import searchsorted, stable_argsort, unique_inverse
+from repro.relational.keys import (
+    exclusive_cumsum,
+    searchsorted,
+    stable_argsort,
+    unique_inverse,
+)
 
 INT_DTYPES = [
     np.int8, np.int16, np.int32, np.int64,
@@ -159,6 +164,58 @@ def _numpy_results(inputs):
         np.searchsorted(haystack, needles, "right"),
         np.unique(group_keys, return_inverse=True),
     )
+
+
+def _rolled_scan(data, acc_dtype, init):
+    """The libraries' exclusive scan as it was written before
+    ``exclusive_cumsum``: a full cumsum rolled right by one, its head set
+    to zero, then ``init`` added."""
+    out = np.cumsum(data, dtype=acc_dtype)
+    if len(out):
+        out = np.roll(out, 1)
+        out[0] = 0
+    out += acc_dtype.type(init)
+    return out
+
+
+def _scan_inputs(rng, dtype, n):
+    """Arrays of ``n`` values of ``dtype``: for integers the dtype's full
+    range (so the int64 sums of int64 and uint64 values wrap); for floats
+    a plain array, one with a leading -0.0, and ones with NaN, +-inf and
+    -0.0 at random places."""
+    if dtype.kind == "b":
+        return [rng.random(n) < 0.5]
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        return [rng.integers(info.min, info.max, size=n, endpoint=True, dtype=dtype)]
+    plain = (rng.standard_normal(n) * 1e3).astype(dtype)
+    leading_zero = plain.copy()
+    leading_zero[:1] = -0.0
+    special = plain.copy()
+    places = rng.permutation(n)[: len(SPECIALS)]
+    special[places] = SPECIALS[: len(places)]
+    infinite = plain.copy()
+    infinite[places[:3]] = np.array([np.inf, -np.inf, -0.0])[: len(places[:3])]
+    return [plain, leading_zero, special, infinite]
+
+
+class TestExclusiveCumsum:
+    @pytest.mark.parametrize(
+        "dtype", INT_DTYPES + [np.bool_, np.float32, np.float64]
+    )
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1000])
+    def test_matches_the_rolled_cumsum(self, dtype, n):
+        dtype = np.dtype(dtype)
+        acc_dtype = np.dtype(np.float64 if dtype.kind == "f" else np.int64)
+        rng = np.random.default_rng(n)
+        for data in _scan_inputs(rng, dtype, n):
+            for init in (0, 7, -2.5):
+                with np.errstate(invalid="ignore"):  # inf + -inf
+                    got = exclusive_cumsum(data, acc_dtype)
+                    got += acc_dtype.type(init)
+                    want = _rolled_scan(data, acc_dtype, init)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (data, init)
 
 
 class TestFastPathsRun:

@@ -3,12 +3,19 @@ what they cache, and repeated query workloads do not leak."""
 
 import gc
 import inspect
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from repro.core import col_lt
+from repro.errors import InvalidBufferError
 from repro.gpu import GTX_1080TI, Device
+from repro.gpu.profiler import FREE
+from repro.libs.thrust import ThrustRuntime
 from repro.query import GpuSession, QueryExecutor, scan
 from repro.relational import Column, Table
 from repro.tpch import ALL_QUERIES, TpchGenerator, q1, q6
@@ -66,6 +73,64 @@ class TestNoLeaks:
         del handle
         gc.collect()
         assert backend.device.memory.used_bytes == 0
+
+
+class TestDeviceArrayRelease:
+    """A device array releases its buffer exactly once, whether it is
+    freed, dropped, or collected out of a reference cycle."""
+
+    @staticmethod
+    def _frees(device):
+        return len(list(device.profiler.iter_kind(FREE)))
+
+    def test_arrays_in_a_reference_cycle_release_on_collect(self, device):
+        runtime = ThrustRuntime(device)
+        left = runtime.device_vector(np.arange(10, dtype=np.int32))
+        right = runtime.device_vector(np.arange(20, dtype=np.int32))
+        left.partner, right.partner = right, left
+        del left, right
+        gc.collect()
+        assert device.memory.live_buffer_count == 0
+        assert device.memory.used_bytes == 0
+        assert self._frees(device) == 2
+
+    def test_free_twice_releases_once(self, device):
+        vector = ThrustRuntime(device).device_vector(np.arange(10))
+        vector.free()
+        vector.free()
+        assert not vector.alive
+        del vector
+        gc.collect()
+        assert self._frees(device) == 1
+        assert device.memory.stats == (1, 1)
+
+    def test_to_host_after_free_raises(self, device):
+        vector = ThrustRuntime(device).device_vector(np.arange(10))
+        vector.free()
+        with pytest.raises(InvalidBufferError):
+            vector.to_host()
+
+    def test_exit_with_live_arrays_writes_nothing_to_stderr(self):
+        script = textwrap.dedent("""
+            import numpy as np
+            from repro.gpu import Device
+            from repro.libs.thrust import ThrustRuntime
+
+            runtime = ThrustRuntime(Device(allocator="pool"))
+            kept = runtime.device_vector(np.arange(100))
+            left = runtime.device_vector(np.arange(10))
+            right = runtime.device_vector(np.arange(20))
+            left.partner, right.partner = right, left
+        """)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
 
 
 class TestSessionPinning:

@@ -13,6 +13,10 @@ Public API tour:
 * :mod:`repro.survey` — the 43-library survey (Table I);
 * :mod:`repro.bench` — sweep runner and report renderers.
 
+Importing the package sets the process's host-memory policy once
+(:func:`repro.host_memory.keep_freed_memory`): on glibc, freed NumPy
+temporaries stay in the heap instead of going back to the kernel.
+
 Quickstart::
 
     from repro import Device, default_framework, scan, QueryExecutor
@@ -40,10 +44,13 @@ from repro.errors import (
     UnsupportedOperatorError,
 )
 from repro.gpu import Device, DeviceSpec, get_spec
+from repro.host_memory import keep_freed_memory
 from repro.query import ExecutionResult, QueryExecutor, scan
 from repro.relational import Column, Table
 
 __version__ = "1.0.0"
+
+keep_freed_memory()
 
 __all__ = [
     "__version__",

@@ -42,7 +42,12 @@ from repro.core.predicate import (
 )
 from repro.gpu.device import Device
 from repro.gpu.kernel import TUNED_PROFILE
-from repro.libs.base import DeviceArray, LibraryRuntime, check_same_length
+from repro.libs.base import (
+    DeviceArray,
+    LibraryRuntime,
+    check_same_length,
+    index_out_of_range,
+)
 from repro.relational.hashjoin import HashJoinConfig, SimulatedHashJoin
 from repro.relational.keys import exclusive_cumsum, stable_argsort, unique_inverse
 
@@ -382,9 +387,7 @@ class HandwrittenBackend(OperatorBackend):
 
     def gather(self, source: Handle, indices: Handle) -> Handle:
         index_data = indices.peek().astype(np.int64, copy=False)
-        if len(index_data) and (
-            index_data.min() < 0 or index_data.max() >= len(source)
-        ):
+        if index_out_of_range(index_data, len(source)):
             raise IndexError(f"gather: index out of range [0, {len(source)})")
         result = source.peek()[index_data]
         self.runtime._charge(
@@ -398,9 +401,7 @@ class HandwrittenBackend(OperatorBackend):
 
     def scatter(self, source: Handle, indices: Handle, length: int) -> Handle:
         index_data = indices.peek().astype(np.int64, copy=False)
-        if len(index_data) and (
-            index_data.min() < 0 or index_data.max() >= length
-        ):
+        if index_out_of_range(index_data, length):
             raise IndexError(f"scatter: index out of range [0, {length})")
         out = np.zeros(length, dtype=source.peek().dtype)
         out[index_data] = source.peek()

@@ -10,6 +10,7 @@ movements".
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -72,6 +73,17 @@ class Event(NamedTuple):
     def end(self) -> float:
         """Simulated time at which the event completed."""
         return self.start + self.duration
+
+
+class EventWindow(NamedTuple):
+    """What :meth:`Profiler.window` reads off the events after a mark."""
+
+    #: Seconds per event kind, SPAN excluded, each kind summed in
+    #: recording order: the ``time_by_kind`` of :meth:`Profiler.summary`.
+    time_by_kind: Dict[str, float]
+    #: The latest ``end`` of any event, SPAN included; ``-inf`` when no
+    #: event follows the mark.
+    latest_end: float
 
 
 @dataclass
@@ -196,6 +208,23 @@ class Profiler:
         return _build_summary(
             time_by_kind, count_by_kind, bytes_by_kind, pool_hits, pool_misses
         )
+
+    def window(self, since: int = 0) -> EventWindow:
+        """Each kind's time and the latest end of the events after a
+        ``mark()`` cursor, in one pass.
+
+        A served request needs only these two, so this skips the counts,
+        bytes and pool tallies of :meth:`summary`.
+        """
+        time_by_kind: Dict[str, float] = defaultdict(float)
+        latest_end = -math.inf
+        for kind, _name, start, duration, _payload in self._events[since:]:
+            end = start + duration
+            if end > latest_end:
+                latest_end = end
+            if kind != SPAN:
+                time_by_kind[kind] += duration
+        return EventWindow(dict(time_by_kind), latest_end)
 
     def kernel_histogram(self, since: int = 0) -> Dict[str, int]:
         """Launch count per kernel name (for fusion/ablation analysis)."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import LibraryError
 from repro.libs.arrayfire.array import Array, ArrayFireRuntime
+from repro.libs.base import index_out_of_range
 from repro.relational.keys import exclusive_cumsum, stable_argsort
 
 
@@ -420,9 +421,7 @@ def lookup(array: Array, indices: Array) -> Array:
     runtime = _runtime(array)
     data = array.storage().peek()
     index_data = indices.storage().peek().astype(np.int64, copy=False)
-    if len(index_data) and (
-        index_data.min() < 0 or index_data.max() >= len(data)
-    ):
+    if index_out_of_range(index_data, len(data)):
         raise IndexError(f"lookup: index out of range [0, {len(data)})")
     result = np.ascontiguousarray(data[index_data])
     runtime._charge(
@@ -445,9 +444,7 @@ def assign_indexed(destination: Array, indices: Array, source: Array) -> None:
     dest_storage = destination.storage()
     index_data = indices.storage().peek().astype(np.int64, copy=False)
     source_data = source.storage().peek()
-    if len(index_data) and (
-        index_data.min() < 0 or index_data.max() >= len(dest_storage)
-    ):
+    if index_out_of_range(index_data, len(dest_storage)):
         raise IndexError(
             f"assign: index out of range [0, {len(dest_storage)})"
         )

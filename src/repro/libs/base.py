@@ -259,6 +259,20 @@ def check_same_length(
     return la
 
 
+def index_out_of_range(indices: np.ndarray, n: int) -> bool:
+    """Whether any of the integer ``indices`` lies outside ``[0, n)``.
+
+    One reduction: viewed as ``uint64``, a negative ``int64`` index reads
+    as at least ``2**63``, above every valid one, so the largest value
+    alone decides.  Narrower signed indices are widened first.
+    """
+    if not len(indices):
+        return False
+    if indices.dtype.kind == "i":
+        indices = indices.astype(np.int64, copy=False).view(np.uint64)
+    return int(indices.max()) >= n
+
+
 def as_numpy(values: ArrayLike, dtype: Optional[np.dtype] = None) -> np.ndarray:
     """Coerce host input to a 1-D contiguous NumPy array."""
     array = np.asarray(values, dtype=dtype)

@@ -17,7 +17,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import LibraryError
-from repro.libs.base import check_same_length
+from repro.libs.base import check_same_length, index_out_of_range
 from repro.libs.boost_compute.context import BoostComputeRuntime, vector
 from repro.libs.boost_compute.lambda_ import LambdaExpr
 from repro.libs.thrust.functional import Functor
@@ -392,7 +392,7 @@ def gather(index_map: vector, source: vector) -> vector:
     """``boost::compute::gather`` — ``out[i] = source[map[i]]``."""
     runtime = _runtime(index_map)
     indices = index_map.data.astype(np.int64, copy=False)
-    if len(indices) and (indices.min() < 0 or indices.max() >= len(source)):
+    if index_out_of_range(indices, len(source)):
         raise IndexError(f"gather: index out of range [0, {len(source)})")
     result = np.ascontiguousarray(source.data[indices])
     runtime.ensure_program(
@@ -414,7 +414,7 @@ def scatter(source: vector, index_map: vector, destination: vector) -> None:
     runtime = _runtime(source)
     check_same_length(source, index_map, "scatter")
     indices = index_map.data.astype(np.int64, copy=False)
-    if len(indices) and (indices.min() < 0 or indices.max() >= len(destination)):
+    if index_out_of_range(indices, len(destination)):
         raise IndexError(f"scatter: index out of range [0, {len(destination)})")
     destination.data[indices] = source.data
     runtime.ensure_program(
@@ -444,7 +444,7 @@ def scatter_if(
     check_same_length(index_map, stencil, "scatter_if")
     mask = stencil.data.astype(bool)
     indices = index_map.data.astype(np.int64, copy=False)[mask]
-    if len(indices) and (indices.min() < 0 or indices.max() >= len(destination)):
+    if index_out_of_range(indices, len(destination)):
         raise IndexError(
             f"scatter_if: index out of range [0, {len(destination)})"
         )

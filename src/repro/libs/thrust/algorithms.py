@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import LibraryError
-from repro.libs.base import check_same_length
+from repro.libs.base import check_same_length, index_out_of_range
 from repro.libs.thrust.functional import Functor
 from repro.libs.thrust.vector import ThrustRuntime, device_vector
 from repro.relational.keys import exclusive_cumsum, searchsorted, stable_argsort
@@ -517,7 +517,7 @@ def gather(
     """
     runtime = _runtime(index_map)
     indices = index_map.data.astype(np.int64, copy=False)
-    if len(indices) and (indices.min() < 0 or indices.max() >= len(source)):
+    if index_out_of_range(indices, len(source)):
         raise IndexError(
             f"gather: index out of range [0, {len(source)}) "
             f"(min={indices.min()}, max={indices.max()})"
@@ -546,7 +546,7 @@ def scatter(
     runtime = _runtime(source)
     check_same_length(source, index_map, "scatter")
     indices = index_map.data.astype(np.int64, copy=False)
-    if len(indices) and (indices.min() < 0 or indices.max() >= len(destination)):
+    if index_out_of_range(indices, len(destination)):
         raise IndexError(
             f"scatter: index out of range [0, {len(destination)})"
         )
@@ -577,7 +577,7 @@ def scatter_if(
     check_same_length(index_map, stencil, "scatter_if")
     mask = stencil.data.astype(bool)
     indices = index_map.data.astype(np.int64, copy=False)[mask]
-    if len(indices) and (indices.min() < 0 or indices.max() >= len(destination)):
+    if index_out_of_range(indices, len(destination)):
         raise IndexError(
             f"scatter_if: index out of range [0, {len(destination)})"
         )

@@ -16,6 +16,16 @@ it in linear time; otherwise they call NumPy.
   Subtracting one constant keeps the order of every two keys and keeps
   equal keys equal, so a stable sort of the shifted keys yields the same
   permutation.  NumPy's stable sort of 16-bit keys is an LSD radix sort.
+  Float keys (the libraries' composite group keys are ``float64``) take
+  the same path when two checks hold for every key ``k``.  First, the
+  ``uint16`` cast of ``s = fl(k - min)`` equals ``s``, which rejects NaN,
+  infinities, fractions and spans of ``2**16`` or more.  Second,
+  ``fl(s + min) == k``: a rounded subtraction can map two distinct keys
+  to one integer (``3.0`` and ``3.0 + 2**-51`` both become ``60003.0``
+  when the minimum is ``-60000.0``), and this round trip tells them apart
+  again, so distinct keys keep distinct ``uint16`` values.  Rounding is
+  monotone, so they also keep their order, and equal keys, ``-0.0`` and
+  ``0.0`` among them, stay equal.
 * :func:`searchsorted` is ``np.searchsorted(haystack, needles, side)``
   on an ascending haystack, which is NumPy's own precondition; on other
   haystacks the result is unspecified and the call may raise.  With
@@ -61,11 +71,24 @@ def _fits_int64(dtype: np.dtype) -> bool:
 
 def stable_argsort(keys: np.ndarray) -> np.ndarray:
     """``np.argsort(keys, kind="stable")``, in linear time when the keys
-    are integers wider than 16 bits spanning fewer than ``2**16`` values."""
-    if keys.dtype.kind in "iu" and keys.dtype.itemsize > 2 and keys.size > 1:
-        lo = keys.min()
-        if int(keys.max()) - int(lo) < _RADIX_SPAN:
-            return np.argsort((keys - lo).astype(np.uint16), kind="stable")
+    are integers wider than 16 bits, or integer-valued floats, spanning
+    fewer than ``2**16`` values."""
+    if keys.size > 1:
+        kind = keys.dtype.kind
+        if kind in "iu" and keys.dtype.itemsize > 2:
+            lo = keys.min()
+            if int(keys.max()) - int(lo) < _RADIX_SPAN:
+                return np.argsort((keys - lo).astype(np.uint16), kind="stable")
+        elif kind == "f":
+            lo = keys.min()
+            # NaN, infinities and spans past uint16 cast to garbage here;
+            # the checks below reject every such key.
+            with np.errstate(invalid="ignore", over="ignore"):
+                shifted = keys - lo
+                radix = shifted.astype(np.uint16)
+                exact = (radix == shifted).all() and (shifted + lo == keys).all()
+            if exact:
+                return np.argsort(radix, kind="stable")
     return np.argsort(keys, kind="stable")
 
 

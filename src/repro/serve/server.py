@@ -424,14 +424,10 @@ class QueryServer:
         session = self.session(request.tenant)
         with self.device.stream_scope(stream):
             result = session.execute(plan, result_name=request.name)
-        events = self.device.profiler.events_since(mark)
-        record.finished = max(
-            [stream.cursor] + [e.end for e in events], default=start + planning
-        )
+        window = self.device.profiler.window(since=mark)
+        record.finished = max(stream.cursor, window.latest_end)
         record.result_rows = result.table.num_rows
-        record.device_breakdown = dict(
-            self.device.profiler.summary(since=mark).time_by_kind
-        )
+        record.device_breakdown = window.time_by_kind
         if self.config.result_cache:
             self.result_cache.put(key, result.table)
         if self.config.keep_results:

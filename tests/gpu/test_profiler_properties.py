@@ -4,6 +4,7 @@ Random event mixes over all ten kinds are recorded, and for every
 ``mark()`` cursor the summary must equal a brute-force fold of the
 events after it: each kind's time summed in recording order from 0.0
 (floats compared bit for bit), counts, bytes and pool hits exact.
+``window`` must give the summary's times and the latest event end.
 """
 
 from __future__ import annotations
@@ -139,3 +140,29 @@ def test_merge_adds_the_summaries_in_order(events, cut):
         hits += part.pool_hits
         misses += part.pool_misses
     _assert_summary(merge_summaries(parts), time, count, nbytes, hits, misses)
+
+
+_STARTS = st.one_of(
+    st.floats(min_value=0.0, max_value=10.0),
+    st.sampled_from([0.0, 0.1, 0.3, 1e300]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_event(), _STARTS), max_size=40))
+def test_window_is_the_summary_times_and_the_latest_end(events):
+    """``window`` gives, bit for bit, what a served request read before it
+    existed: ``summary(since).time_by_kind``, and the largest ``end`` of
+    ``events_since(since)``, SPAN included."""
+    profiler = Profiler()
+    for (kind, duration, payload), start in events:
+        profiler.record(kind, "e", start, duration, **payload)
+    for since in range(len(events) + 1):
+        window = profiler.window(since)
+        want = profiler.summary(since).time_by_kind
+        assert list(window.time_by_kind) == list(want)
+        assert [t.hex() for t in window.time_by_kind.values()] == [
+            t.hex() for t in want.values()
+        ]
+        ends = [event.end for event in profiler.events_since(since)]
+        assert window.latest_end == max(ends, default=float("-inf"))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.relational.keys import (
     exclusive_cumsum,
@@ -45,6 +47,45 @@ def _assert_same(got, want):
     assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f")
 
 
+_FLOAT_SPANS = [1, 2, 300, 2**16 - 1, 2**16, 2**16 + 1, 2**40]
+#: Where integer-valued float keys sit: around 0, far from it (where
+#: ``1e15 + 1`` is still exact), past ``2**53`` (where it is not) and
+#: near the float64 maximum.
+_FLOAT_BASES = [0.0, -3.0, -60000.0, 1e15, -1e15, 2.0**53, 1e300]
+#: Values that must send the keys to NumPy's sort, and ``-0.0``.
+_FLOAT_SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 0.5, 2.0**-51, 1e-300]
+
+
+@st.composite
+def _float_keys(draw):
+    """Integer-valued float32 or float64 keys from ``span`` consecutive
+    values above ``base``; some keys then replaced by a special value or
+    nudged to the next float up."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    span = draw(st.sampled_from(_FLOAT_SPANS))
+    base = draw(st.sampled_from(_FLOAT_BASES))
+    offsets = draw(st.lists(st.integers(0, span - 1), max_size=40))
+    keys = np.array(offsets, dtype=np.float64) + base
+    if len(keys):
+        positions = st.integers(0, len(keys) - 1)
+        for position, special in draw(
+            st.lists(st.tuples(positions, st.sampled_from(_FLOAT_SPECIALS)), max_size=3)
+        ):
+            keys[position] = special
+        for position in draw(st.lists(positions, max_size=2)):
+            keys[position] = np.nextafter(keys[position], np.inf)
+    with np.errstate(over="ignore"):  # 1e300 is infinite as float32
+        return keys.astype(dtype)
+
+
+def _any_floats():
+    return st.sampled_from([np.float32, np.float64]).flatmap(
+        lambda dtype: st.lists(
+            st.floats(width=8 * np.dtype(dtype).itemsize), max_size=40
+        ).map(lambda values: np.array(values, dtype=dtype))
+    )
+
+
 class TestStableArgsort:
     @pytest.mark.parametrize("dtype", INT_DTYPES)
     @pytest.mark.parametrize("span", SPANS)
@@ -58,6 +99,21 @@ class TestStableArgsort:
     def test_floats_take_numpy_path(self):
         keys = np.tile(SPECIALS, 3)
         _assert_same(stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys=st.one_of(_float_keys(), _any_floats()))
+    def test_float_keys_match_numpy(self, keys):
+        _assert_same(stable_argsort(keys), np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_distinct_keys_rounded_to_one_integer_stay_apart(self, dtype):
+        """``fl(k - min)`` is the integer 60003 for both 3 and the next
+        float above 3, so the cast alone would tie them."""
+        three = dtype(3.0)
+        keys = np.array([-60000.0, np.nextafter(three, dtype(4.0)), three], dtype=dtype)
+        assert (keys[1:] - keys.min() == 60003).all()
+        _assert_same(stable_argsort(keys), np.argsort(keys, kind="stable"))
+        assert stable_argsort(keys).tolist() == [0, 2, 1]
 
 
 class TestSearchsorted:
@@ -234,6 +290,23 @@ class TestFastPathsRun:
         sorted_as = _record_calls(monkeypatch, "argsort")
         _assert_keys_match(inputs, want)
         assert sorted_as == [np.dtype(np.uint16)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_integer_valued_floats_sort_as_uint16(self, monkeypatch, dtype):
+        keys = (np.arange(2**16, dtype=np.float64)[::-1] - 7.0).astype(dtype)
+        want = np.argsort(keys, kind="stable")
+        sorted_as = _record_calls(monkeypatch, "argsort")
+        _assert_same(stable_argsort(keys), want)
+        assert sorted_as == [np.dtype(np.uint16)]
+
+    @pytest.mark.parametrize("change", ["span", "fraction", "nan"])
+    def test_other_floats_sort_as_themselves(self, monkeypatch, change):
+        keys = np.arange(2**16, dtype=np.float64)[::-1] - 7.0
+        keys[5] = {"span": 2.0**16, "fraction": 0.5, "nan": np.nan}[change]
+        want = np.argsort(keys, kind="stable")
+        sorted_as = _record_calls(monkeypatch, "argsort")
+        _assert_same(stable_argsort(keys), want)
+        assert sorted_as == [np.dtype(np.float64)]
 
     def test_one_value_past_the_guards_numpy_runs(self, monkeypatch):
         inputs = _at_the_guards(1)

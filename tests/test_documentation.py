@@ -139,8 +139,9 @@ def _job(ci_text, name):
 
 class TestCiWorkflow:
     """Text-level lint of .github/workflows/ci.yml (no YAML dependency):
-    zero duplicated setup blocks, a concurrency group, and one smoke
-    matrix whose scripts enforce their own benchmark floors."""
+    zero duplicated setup blocks, a concurrency group, one smoke matrix
+    whose scripts enforce their own benchmark floors, and a timeout on
+    every job."""
 
     @pytest.fixture
     def ci_text(self):
@@ -199,6 +200,13 @@ class TestCiWorkflow:
     def test_benchmark_smoke_runs_the_trajectory_self_tests(self, ci_text):
         job = _job(ci_text, "benchmark-smoke")
         assert "python -m pytest -q benchmarks/trajectory" in job
+
+    def test_every_job_has_a_timeout(self, ci_text):
+        jobs = re.findall(r"\n  ([\w-]+):\n", ci_text[ci_text.index("\njobs:\n"):])
+        assert jobs and len(jobs) == ci_text.count("runs-on:")
+        for name in jobs:
+            minutes = re.search(r"\n    timeout-minutes: (\d+)\n", _job(ci_text, name))
+            assert minutes and 0 < int(minutes.group(1)) <= 30, name
 
 
 @pytest.fixture(scope="module")

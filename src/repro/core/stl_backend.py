@@ -62,7 +62,7 @@ from repro.libs.thrust.functional import (
     minimum,
     multiplies,
 )
-from repro.relational.hashjoin import expand_runs
+from repro.relational.hashjoin import join_sorted
 
 #: Shared-memory tile width for the nested-loops join functor: each thread
 #: block stages TILE outer keys while streaming the inner relation, so the
@@ -255,8 +255,7 @@ class StlStyleBackend(OperatorBackend):
         "merge join (composed)".
         """
         left = left_keys.peek()
-        right = right_keys.peek()
-        n, m = len(left), len(right)
+        n, m = len(left), len(right_keys)
         # Sort both sides, carrying original row ids as payloads.
         left_sorted = self._lib.copy(left_keys)
         left_rowids = self._iota_vector(n)
@@ -275,17 +274,10 @@ class StlStyleBackend(OperatorBackend):
         )
         self.device.transfer_to_host(8, "merge_join_count")
         # Expansion kernel: one thread per output pair gathers both row ids.
-        # Scattering each left row's run by its row id (inverting the sort's
-        # permutation) lists the runs in left-id order, and the stable
-        # sort_by_key keeps each run's right row ids ascending: the pairs
-        # come out in canonical order.
-        starts = np.empty(n, dtype=np.int64)
-        run_counts = np.empty(n, dtype=np.int64)
-        starts[left_rowids.peek()] = lo.peek()
-        run_counts[left_rowids.peek()] = counts.peek()
-        left_ids, right_ids = expand_runs(
-            np.arange(n, dtype=np.int64), starts, run_counts,
-            right_rowids.peek(),
+        # The pairs are the runs of the right side sort_by_key sorted; the
+        # sort is stable, so join_sorted lists them in canonical order.
+        left_ids, right_ids = join_sorted(
+            left, right_sorted.peek(), right_rowids.peek()
         )
         self.runtime._charge(
             "merge_join_expand",

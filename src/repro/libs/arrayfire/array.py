@@ -142,7 +142,6 @@ class Array:
         runtime: ArrayFireRuntime,
         storage: Optional[DeviceArray] = None,
         node: Optional[jit.JitNode] = None,
-        leaves: Optional[List[DeviceArray]] = None,
         length: Optional[int] = None,
         dtype: Optional[np.dtype] = None,
     ) -> None:
@@ -152,8 +151,8 @@ class Array:
             )
         self.runtime = runtime
         self._storage = storage
+        #: A lazy array's tree; its leaves hold the device arrays they read.
         self._node = node
-        self._leaves = leaves or []
         self._length = length if length is not None else (
             len(storage) if storage is not None else 0
         )
@@ -195,15 +194,17 @@ class Array:
         if self._storage is not None:
             return self
         assert self._node is not None
-        leaf_arrays = [leaf.data for leaf in self._leaves]
-        leaf_dtypes = [leaf.dtype for leaf in self._leaves]
-        kernel = jit.analyze(self._node, leaf_dtypes)
+        leaves: List[DeviceArray] = []
+        root = _number_leaves(self._node, leaves)
+        leaf_arrays = [leaf.data for leaf in leaves]
+        leaf_dtypes = [leaf.dtype for leaf in leaves]
+        kernel = jit.analyze(root, leaf_dtypes)
         compile_cost = self.runtime.jit_cache.compile_cost(kernel)
         if compile_cost > 0.0:
             self.runtime.device.compile_program(
                 f"af_jit[{kernel.node_count} ops]", compile_cost
             )
-        result = jit.evaluate(self._node, leaf_arrays)
+        result = jit.evaluate(root, leaf_arrays)
         result = result.astype(self._dtype, copy=False)
         # One fused kernel: each distinct leaf read once, result written once.
         self.runtime._charge(
@@ -217,7 +218,6 @@ class Array:
             np.ascontiguousarray(result), "af::jit_out"
         )
         self._node = None
-        self._leaves = []
         return self
 
     def storage(self) -> DeviceArray:
@@ -342,50 +342,47 @@ def _build_lazy(
     operands: List[Operand],
     out_dtype: np.dtype,
 ) -> Array:
-    """Construct a lazy Array node over ``operands`` (Arrays or scalars)."""
+    """Construct a lazy Array node over ``operands`` (Arrays or scalars).
+
+    A lazy operand's tree becomes a child as it is and a materialized
+    operand a leaf holding its device array, so each call builds one node
+    however deep its operands are; :meth:`Array.eval` numbers the leaves.
+    """
     children: List[object] = []
-    leaves: List[DeviceArray] = []
     length: Optional[int] = None
     for operand in operands:
         if isinstance(operand, Array):
             length = len(operand) if length is None else length
             if operand.is_lazy:
-                assert operand._node is not None
-                # Re-index the operand's leaves into the merged leaf list.
-                children.append(
-                    _reindex(operand._node, base=len(leaves))
-                )
-                leaves.extend(operand._leaves)
+                children.append(operand._node)
             else:
-                assert operand._storage is not None
-                children.append((jit.LEAF, len(leaves)))
-                leaves.append(operand._storage)
+                children.append((jit.LEAF, operand._storage))
         else:
             children.append((jit.SCALAR, operand))
     if length is None:
         raise ExpressionError(f"af::{op} needs at least one array operand")
     node = jit.JitNode(op=op, children=tuple(children), dtype=out_dtype)
-    return Array(
-        runtime,
-        node=node,
-        leaves=leaves,
-        length=length,
-        dtype=out_dtype,
-    )
+    return Array(runtime, node=node, length=length, dtype=out_dtype)
 
 
-def _reindex(node: jit.JitNode, base: int) -> jit.JitNode:
-    """Shift all leaf indices in ``node`` by ``base`` (leaf-list merge)."""
-    if base == 0:
-        return node
+def _number_leaves(
+    node: jit.JitNode, leaves: List[DeviceArray]
+) -> jit.JitNode:
+    """``node`` with its leaves numbered in depth-first order from
+    ``len(leaves)``, appending the device arrays they read to ``leaves``:
+    ``("leaf", i)`` reads ``leaves[i]``.
+
+    A device array reached twice (``a * a``, or one lazy array used by
+    two operands) gets a number per visit: the fused kernel reads each
+    leaf once.
+    """
     children: List[object] = []
     for child in node.children:
         if isinstance(child, jit.JitNode):
-            children.append(_reindex(child, base))
+            children.append(_number_leaves(child, leaves))
+        elif child[0] == jit.LEAF:
+            children.append((jit.LEAF, len(leaves)))
+            leaves.append(child[1])
         else:
-            kind, payload = child
-            if kind == jit.LEAF:
-                children.append((jit.LEAF, payload + base))
-            else:
-                children.append(child)
+            children.append(child)
     return jit.JitNode(op=node.op, children=tuple(children), dtype=node.dtype)

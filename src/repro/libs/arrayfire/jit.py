@@ -54,7 +54,9 @@ class JitNode:
 
     ``children`` entries are either other :class:`JitNode` instances, leaf
     markers (``("leaf", index)`` referring to the i-th input buffer), or
-    scalar constants ``("scalar", value)``.
+    scalar constants ``("scalar", value)``.  A lazy ``Array``'s tree
+    marks its leaves with the device arrays themselves, ``("leaf",
+    array)``, until ``Array.eval`` numbers them in depth-first order.
     """
 
     op: str

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,9 +60,21 @@ class ColumnMeta:
 
     ctype: ColumnType
     dictionary: Optional[List[str]] = None
-    #: Upper bound for composite-key strides; -1 = unknown (derived
-    #: columns), which blocks use as a non-first group-by key.
-    max_value: int = -1
+    #: The scanned table column's values; None for derived columns.
+    values: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def max_value(self) -> int:
+        """Upper bound for composite-key strides: the largest value of the
+        whole scanned table column, filters notwithstanding (0 when it is
+        empty); -1 = unknown (derived columns), which blocks use as a
+        non-first group-by key.  Only composite group keys read it, so it
+        is computed here, not at every scan."""
+        if self.values is None:
+            return -1
+        return int(self.values.max()) if len(self.values) else 0
 
 
 @dataclass
@@ -371,11 +383,10 @@ class QueryExecutor:
         meta: Dict[str, ColumnMeta] = {}
         for name in names:
             column = table.column(name)
-            max_value = int(column.data.max()) if len(column.data) else 0
             meta[name] = ColumnMeta(
                 ctype=column.ctype,
                 dictionary=column.dictionary,
-                max_value=max_value,
+                values=column.data,
             )
         return Relation(columns=columns, meta=meta, num_rows=table.num_rows)
 
@@ -780,14 +791,15 @@ def composite_key_expr(
     """
     if len(keys) == 1:
         return ColRef(keys[0]), [1]
-    for key in keys[1:]:
-        if meta[key].max_value < 0:
+    bounds = [meta[k].max_value for k in keys]
+    for key, bound in zip(keys[1:], bounds[1:]):
+        if bound < 0:
             raise PlanError(
                 f"group-by key {key!r} has no known value bound (it is "
                 "a derived column); place it first in the key list or "
                 "group by the base columns it derives from"
             )
-    strides = [meta[k].max_value + 1 for k in keys]
+    strides = [bound + 1 for bound in bounds]
     expr: Expr = ColRef(keys[0])
     for key, stride in zip(keys[1:], strides[1:]):
         expr = expr * Lit(stride) + ColRef(key)

@@ -38,7 +38,9 @@ it in linear time; otherwise they call NumPy.
   clipping the needles to ``[lo - 1, hi + 1]`` changes no answer; the
   right position of ``hi + 1`` is capped at ``table[span + 1]``, all
   keys.  Needles are compared as ``int64``, which holds every value of
-  every integer dtype the guard admits.
+  every integer dtype the guard admits.  :func:`table_span` is that
+  guard; :func:`~repro.relational.hashjoin.join_sorted` sizes its
+  direct-address table of unique build keys by it too.
 * :func:`unique_inverse` is ``np.unique(keys, return_inverse=True)``.
   A presence table over ``[min, max]`` lists the distinct keys in
   ascending order, and its running count minus one is each distinct
@@ -98,6 +100,34 @@ def searchsorted(
     """``np.searchsorted(haystack, needles, side)`` for an ascending
     haystack, by one table lookup per needle when both arrays are
     integers and the haystack spans no more values than the inputs hold."""
+    span = table_span(haystack, needles)
+    if span:
+        lo, hi = int(haystack[0]), int(haystack[-1])
+        table = np.zeros(span + 2, dtype=np.intp)
+        np.cumsum(
+            np.bincount(haystack.astype(np.intp) - lo, minlength=span),
+            out=table[2:],
+        )
+        index = needles.astype(np.int64)
+        np.clip(index, lo - 1, hi + 1, out=index)
+        if side == "left":
+            index -= lo - 1
+        else:
+            index -= lo - 2
+            np.minimum(index, span + 1, out=index)
+        return table[index]
+    return np.searchsorted(haystack, needles, side=side)
+
+
+def table_span(haystack: np.ndarray, needles: np.ndarray) -> int:
+    """``haystack[-1] - haystack[0] + 1`` when an ascending haystack can be
+    searched through a table of that many entries (plus two), else 0.
+
+    Both arrays must be integers castable to ``int64``, the span at most
+    the number of elements they hold together, and ``haystack[0] - 2``
+    and ``haystack[-1] + 1`` within ``int64``, so no index computed from
+    the clipped needles overflows.
+    """
     if (
         haystack.ndim == 1
         and len(haystack)
@@ -111,20 +141,8 @@ def searchsorted(
             and lo - 2 >= _INT64.min
             and hi + 1 <= _INT64.max
         ):
-            table = np.zeros(span + 2, dtype=np.intp)
-            np.cumsum(
-                np.bincount(haystack.astype(np.intp) - lo, minlength=span),
-                out=table[2:],
-            )
-            index = needles.astype(np.int64)
-            np.clip(index, lo - 1, hi + 1, out=index)
-            if side == "left":
-                index -= lo - 1
-            else:
-                index -= lo - 2
-                np.minimum(index, span + 1, out=index)
-            return table[index]
-    return np.searchsorted(haystack, needles, side=side)
+            return span
+    return 0
 
 
 def unique_inverse(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

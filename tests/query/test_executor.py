@@ -190,6 +190,36 @@ class TestGroupBy:
         )
         assert got_pairs == pairs
 
+    @pytest.mark.parametrize("backend_name", ["handwritten", "compiled"])
+    def test_composite_key_strides_span_the_whole_table_column(
+        self, framework, catalog, backend_name, monkeypatch
+    ):
+        """Each stride is the scanned table column's max + 1, also when a
+        filter removed every row holding that max."""
+        from repro.query import compiled, executor as executor_module
+
+        original = executor_module.composite_key_expr
+        strides = []
+
+        def recording(keys, meta):
+            expr, key_strides = original(keys, meta)
+            strides.append(key_strides)
+            return expr, key_strides
+
+        monkeypatch.setattr(executor_module, "composite_key_expr", recording)
+        monkeypatch.setattr(compiled, "composite_key_expr", recording)
+        orders = catalog["orders"]
+        cust_max = int(orders.column("o_cust").data.max())
+        status_max = int(orders.column("o_status").data.max())
+        result = QueryExecutor(framework.create(backend_name), catalog).execute(
+            scan("orders")
+            .filter(col_lt("o_cust", cust_max))
+            .group_by(["o_status", "o_cust"], [("n", "count", None)])
+            .build()
+        )
+        assert result.table.column("o_cust").data.max() < cust_max
+        assert strides == [[status_max + 1, cust_max + 1]]
+
     def test_group_by_derived_value(self, executor, catalog):
         result = executor.execute(
             scan("orders")

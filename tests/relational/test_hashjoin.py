@@ -6,15 +6,20 @@ import pytest
 from repro.gpu import Device
 from repro.gpu.profiler import ALLOC, FREE, KERNEL, TRANSFER_D2H
 from repro.core.backend import join_reference
+from repro.relational import hashjoin
 from repro.relational.hashjoin import (
     DEFAULT_CONFIG,
     MIN_TABLE_SLOTS,
     HashJoinConfig,
     SimulatedHashJoin,
     hash_codes,
+    join_sorted,
     simulated_hash_join,
     table_layout,
 )
+from repro.relational.keys import stable_argsort
+
+_INT64 = np.iinfo(np.int64)
 
 
 @pytest.fixture
@@ -76,6 +81,31 @@ class TestHashCodes:
         codes = hash_codes(np.arange(4096, dtype=np.int64), 4096)
         occupancy = np.bincount(codes, minlength=4096)
         assert occupancy.max() <= 8
+
+    @pytest.mark.parametrize("slots", [1, 2, 16, 1 << 20])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_codes_are_the_shifted_product_modulo_slots(self, slots, dtype):
+        """The top log2(slots) bits of the product are already below
+        slots, so dropping the modulo changes no code."""
+        info = np.iinfo(dtype)
+        keys = np.array(
+            [0, 1, -1, 7, -7, 1 << 20, -(1 << 20), info.min, info.min + 1,
+             info.max - 1, info.max],
+            dtype=dtype,
+        )
+        shift = np.uint64(64 - slots.bit_length() + 1)
+        mixed = keys.astype(np.int64).view(np.uint64) * np.uint64(
+            0x9E3779B97F4A7C15
+        )
+        want = (mixed >> shift).astype(np.int64) % slots
+        got = hash_codes(keys, slots)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_keys_are_left_unchanged(self):
+        keys = np.arange(-50, 50, dtype=np.int64)
+        hash_codes(keys, 64)
+        assert np.array_equal(keys, np.arange(-50, 50))
 
 
 class TestCorrectness:
@@ -245,3 +275,75 @@ class TestCostModel:
     def test_default_config_shared(self):
         assert DEFAULT_CONFIG.load_factor == 0.5
         assert SimulatedHashJoin(Device()).config is DEFAULT_CONFIG
+
+
+class TestProbeChains:
+    def test_avg_probe_chain_is_pinned(self):
+        """Exact mean chain lengths on one fixed seed: duplicate-light,
+        duplicate-heavy, and a wide key range whose table is built on the
+        smaller left side."""
+        rng = np.random.default_rng(24)
+        chains = []
+        for build_rows, probe_rows, high in (
+            (3000, 20000, 5000), (700, 9000, 100), (5000, 4000, 1 << 40)
+        ):
+            right = rng.integers(0, high, build_rows)
+            left = rng.integers(-high, high, probe_rows)
+            stats = SimulatedHashJoin(Device()).join(left, right).stats
+            chains.append((stats.avg_probe_chain, stats.swapped))
+        assert chains == [
+            (1.10725, False), (4.006777777777778, False), (1.1038, True)
+        ]
+
+
+class TestJoinSorted:
+    """join_sorted answers unique build keys spanning at most m + n values
+    with one table lookup per probe row, and searches everything else."""
+
+    @staticmethod
+    def _join(left, right, monkeypatch):
+        """Checks join_sorted against join_reference; returns how many
+        searches join_sorted ran."""
+        want = join_reference(left, right)
+        searches = []
+        search = hashjoin.searchsorted
+
+        def counting(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(hashjoin, "searchsorted", counting)
+        order = stable_argsort(right)
+        got = join_sorted(left, right[order], order)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        return len(searches)
+
+    @pytest.mark.parametrize("extra, searched", [(0, 0), (1, 1)])
+    def test_unique_build_within_the_span_limit_is_looked_up(
+        self, extra, searched, monkeypatch, rng
+    ):
+        n, m = 40, 30
+        span = m + n + extra
+        right = np.concatenate([
+            [0, span - 1], rng.choice(np.arange(1, span - 1), m - 2, False)
+        ]).astype(np.int32)
+        rng.shuffle(right)
+        left = rng.integers(-3, span + 3, n).astype(np.int32)
+        assert self._join(left, right, monkeypatch) == searched
+
+    def test_duplicate_build_keys_are_searched(self, monkeypatch, rng):
+        right = rng.integers(0, 10, 30).astype(np.int64)
+        left = rng.integers(0, 10, 40).astype(np.int64)
+        assert self._join(left, right, monkeypatch) == 1
+
+    @pytest.mark.parametrize("lo", [_INT64.min, _INT64.min + 1, _INT64.max - 9])
+    def test_keys_at_the_int64_ends_are_searched(self, lo, monkeypatch):
+        right = np.arange(10, dtype=np.int64) + lo
+        left = right[::-1].copy()
+        assert self._join(left, right, monkeypatch) == 1
+
+    def test_uint64_keys_are_searched(self, monkeypatch):
+        right = np.arange(10, dtype=np.uint64) + np.uint64(1 << 63)
+        left = right[::2].copy()
+        assert self._join(left, right, monkeypatch) == 1

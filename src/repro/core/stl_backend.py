@@ -276,9 +276,14 @@ class StlStyleBackend(OperatorBackend):
         # Expansion kernel: one thread per output pair gathers both row ids.
         # The pairs are the runs of the right side sort_by_key sorted; the
         # sort is stable, so join_sorted lists them in canonical order.
-        left_ids, right_ids = join_sorted(
-            left, right_sorted.peek(), right_rowids.peek()
-        )
+        # That holds only if the right keys were sorted in the common
+        # dtype: cast to it (int64 to float64 above 2**53), keys that
+        # sorted apart can become equal, and their run is out of row order.
+        right = right_sorted.peek()
+        if right.dtype == np.result_type(left.dtype, right.dtype):
+            left_ids, right_ids = join_sorted(left, right, right_rowids.peek())
+        else:
+            left_ids, right_ids = join_reference(left, right_keys.peek())
         self.runtime._charge(
             "merge_join_expand",
             total,

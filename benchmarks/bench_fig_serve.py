@@ -17,11 +17,13 @@ Two experiments on the ``repro.serve`` layer, both bit-deterministic
   run (asserted; the measured ratio is ~3x).
 
 Run directly with ``--smoke`` for the CI smoke job: a tiny closed-loop
-run that writes its metrics JSON, with the floor rows it enforces, to
-``benchmarks/out/fig_serve_smoke.json``.
+run, caches on, whose every completed result is checked against its
+query's NumPy reference; it writes its metrics JSON, with the floor rows
+it enforces, to ``benchmarks/out/fig_serve_smoke.json``.
 """
 
 
+from bench_fig_tpch_suite import _matches
 from common import finish_smoke, out_dir, smoke_main
 from repro.bench import write_report
 from repro.core import default_framework
@@ -198,9 +200,14 @@ def test_fig_serve_cache_ablation(benchmark):
 
 
 def _floors(payload):
-    """Smoke load is light: every offered request completes, none shed."""
+    """Smoke load is light: every offered request completes, none shed,
+    and every result equals its reference."""
     metrics = payload["metrics"]
     return [
+        (
+            "results differing from the Q1/Q6 reference",
+            payload["oracle_mismatches"], "==", 0,
+        ),
         (
             "requests recorded", metrics["total_requests"], "==",
             payload["offered_requests"],
@@ -223,12 +230,17 @@ def _smoke(clients: int, requests: int) -> int:
     )
     device = Device(GTX_1080TI, allocator="pool")
     backend = default_framework().create("thrust", device)
-    config = ServerConfig(policy="sjf", num_streams=2)
+    config = ServerConfig(policy="sjf", num_streams=2, keep_results=True)
     with QueryServer(backend, catalog, config) as server:
         report = server.run(workload)
     metrics = report.metrics
+    expected = {"Q1": q1.reference(catalog), "Q6": q6.reference(catalog)}
     payload = {
         "offered_requests": clients * requests,
+        "oracle_mismatches": sum(
+            not _matches(record.table, expected[record.name])
+            for record in report.records if record.completed
+        ),
         **metrics_report(metrics, report.records),
     }
     print(

@@ -268,10 +268,9 @@ class StlStyleBackend(OperatorBackend):
         counts = self._lib.transform(
             hi, Functor("minus", np.subtract, arity=2, flops=1.0), lo
         )
-        offsets = self._lib.exclusive_scan(counts)
-        total = (
-            int(offsets.peek()[-1] + counts.peek()[-1]) if len(counts) else 0
-        )
+        # The expansion kernel reads the offsets: they stay allocated
+        # until the pairs are out.
+        _offsets = self._lib.exclusive_scan(counts)
         self.device.transfer_to_host(8, "merge_join_count")
         # Expansion kernel: one thread per output pair gathers both row ids.
         # The pairs are the runs of the right side sort_by_key sorted; the
@@ -279,6 +278,9 @@ class StlStyleBackend(OperatorBackend):
         # That holds only if the right keys were sorted in the common
         # dtype: cast to it (int64 to float64 above 2**53), keys that
         # sorted apart can become equal, and their run is out of row order.
+        # The pairs are exact where the bounds are not (int64 against
+        # uint64 compares in float64 there), so the kernel is charged one
+        # element per pair it emits.
         right = right_sorted.peek()
         if right.dtype == np.result_type(left.dtype, right.dtype):
             left_ids, right_ids = join_sorted(left, right, right_rowids.peek())
@@ -286,7 +288,7 @@ class StlStyleBackend(OperatorBackend):
             left_ids, right_ids = join_reference(left, right_keys.peek())
         self.runtime._charge(
             "merge_join_expand",
-            total,
+            len(left_ids),
             flops=2.0,
             read=4.0 + 4.0 * 8.0,  # offsets plus uncoalesced row-id gathers
             written=16.0,

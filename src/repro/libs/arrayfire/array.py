@@ -10,7 +10,7 @@ shape).
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -374,15 +374,27 @@ def _number_leaves(
 
     A device array reached twice (``a * a``, or one lazy array used by
     two operands) gets a number per visit: the fused kernel reads each
-    leaf once.
+    leaf once.  The walk keeps its own stack, so a tree of any depth
+    (a long ``|`` chain) numbers without recursion.
     """
-    children: List[object] = []
-    for child in node.children:
+    # One (node, its numbered children so far) frame per open node.
+    stack: List[Tuple[jit.JitNode, List[object]]] = [(node, [])]
+    while True:
+        current, children = stack[-1]
+        if len(children) == len(current.children):
+            stack.pop()
+            numbered = jit.JitNode(
+                op=current.op, children=tuple(children), dtype=current.dtype
+            )
+            if not stack:
+                return numbered
+            stack[-1][1].append(numbered)
+            continue
+        child = current.children[len(children)]
         if isinstance(child, jit.JitNode):
-            children.append(_number_leaves(child, leaves))
+            stack.append((child, []))
         elif child[0] == jit.LEAF:
             children.append((jit.LEAF, len(leaves)))
             leaves.append(child[1])
         else:
             children.append(child)
-    return jit.JitNode(op=node.op, children=tuple(children), dtype=node.dtype)

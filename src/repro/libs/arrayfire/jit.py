@@ -94,20 +94,26 @@ class FusedKernel:
 
 
 def analyze(root: JitNode, leaf_dtypes: List[np.dtype]) -> FusedKernel:
-    """Flatten a tree into a :class:`FusedKernel` descriptor."""
+    """Flatten a tree into a :class:`FusedKernel` descriptor.
+
+    The tree is walked depth-first from an explicit stack, so a tree of
+    any depth flattens without recursion.
+    """
     parts: List[str] = []
     flops = 0.0
     nodes = 0
-
-    def visit(child: Child) -> None:
-        nonlocal flops, nodes
-        if isinstance(child, JitNode):
+    # Children still to visit, next on top; ")" closes an operation.
+    pending: List[Union[Child, str]] = [root]
+    while pending:
+        child = pending.pop()
+        if isinstance(child, str):
+            parts.append(child)
+        elif isinstance(child, JitNode):
             nodes += 1
             flops += _OP_TABLE[child.op][1]
             parts.append(f"{child.op}[{child.dtype}](")
-            for grandchild in child.children:
-                visit(grandchild)
-            parts.append(")")
+            pending.append(")")
+            pending.extend(reversed(child.children))
         else:
             kind, payload = child
             if kind == LEAF:
@@ -119,8 +125,6 @@ def analyze(root: JitNode, leaf_dtypes: List[np.dtype]) -> FusedKernel:
                 parts.append("k")
             else:
                 raise ExpressionError(f"unknown child kind {kind!r}")
-
-    visit(root)
     return FusedKernel(
         signature="".join(parts),
         node_count=nodes,
@@ -130,24 +134,38 @@ def analyze(root: JitNode, leaf_dtypes: List[np.dtype]) -> FusedKernel:
 
 
 def evaluate(root: JitNode, leaves: List[np.ndarray]) -> np.ndarray:
-    """Execute the tree's semantics over the leaf buffers."""
+    """Execute the tree's semantics over the leaf buffers.
 
-    def visit(child: Child) -> np.ndarray:
-        if isinstance(child, JitNode):
+    Operands are computed depth-first, first operand first, from an
+    explicit stack, so a tree of any depth evaluates without recursion.
+    """
+    values: List[np.ndarray] = []
+    # (child, True) applies a node whose operands are on ``values``.
+    pending: List[Tuple[Child, bool]] = [(root, False)]
+    while pending:
+        child, ready = pending.pop()
+        if ready:
+            operands = values[len(values) - len(child.children):]
+            del values[len(values) - len(child.children):]
             if child.op == "cast":
-                (inner,) = child.children
-                return visit(inner).astype(child.dtype)
-            fn, _flops, _kind = _OP_TABLE[child.op]
-            operands = [visit(grandchild) for grandchild in child.children]
-            return fn(*operands)
-        kind, payload = child
-        if kind == LEAF:
-            return leaves[payload]
-        if kind == SCALAR:
-            return np.asarray(payload)
-        raise ExpressionError(f"unknown child kind {kind!r}")
-
-    result = visit(root)
+                (inner,) = operands
+                values.append(inner.astype(child.dtype))
+            else:
+                values.append(_OP_TABLE[child.op][0](*operands))
+        elif isinstance(child, JitNode):
+            pending.append((child, True))
+            pending.extend(
+                (grandchild, False) for grandchild in reversed(child.children)
+            )
+        else:
+            kind, payload = child
+            if kind == LEAF:
+                values.append(leaves[payload])
+            elif kind == SCALAR:
+                values.append(np.asarray(payload))
+            else:
+                raise ExpressionError(f"unknown child kind {kind!r}")
+    (result,) = values
     return np.ascontiguousarray(np.broadcast_to(result, _leaf_length(leaves)))
 
 

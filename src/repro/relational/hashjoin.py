@@ -185,6 +185,29 @@ class HashJoinResult:
         return len(self.left_ids)
 
 
+def key_dtype(probe: np.dtype, build: np.dtype) -> np.dtype:
+    """The dtype :func:`join_sorted` expects the build keys sorted in: the
+    common dtype of both sides, but the build side's own when a signed
+    integer side meets a uint64 side, whose common dtype, float64, rounds
+    keys above 2**53."""
+    if _signed_with_uint64(probe, build):
+        return np.dtype(build)
+    return np.result_type(probe, build)
+
+
+def _signed_with_uint64(a: np.dtype, b: np.dtype) -> bool:
+    """Two integer dtypes NumPy can only combine as float64."""
+    return a.kind in "iu" and b.kind in "iu" and np.result_type(a, b).kind == "f"
+
+
+def _int64_range(keys: np.ndarray) -> np.ndarray:
+    """Ids of the integer keys in [0, 2**63 - 1], the only values a signed
+    and a uint64 key can share."""
+    if keys.dtype.kind == "u":
+        return np.flatnonzero(keys <= np.uint64(np.iinfo(np.int64).max))
+    return np.flatnonzero(keys >= 0)
+
+
 def join_reference(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -192,10 +215,12 @@ def join_reference(
 
     Pairs come sorted by left id, then right id, both as int64, and NaN
     keys match each other.  The right keys are the build side: one stable
-    argsort of them, then :func:`join_sorted` probes each left row.
+    argsort of them in :func:`key_dtype`, then :func:`join_sorted` probes
+    each left row.
     """
-    dtype = np.result_type(left_keys.dtype, right_keys.dtype)
-    build = right_keys.astype(dtype, copy=False)
+    build = right_keys.astype(
+        key_dtype(left_keys.dtype, right_keys.dtype), copy=False
+    )
     if len(left_keys) == 0 or len(build) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     order = stable_argsort(build)
@@ -207,14 +232,25 @@ def join_sorted(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`join_reference` of ``probe_keys`` and a build side already
     sorted: ``sorted_build`` is ``build[order]``, and ``order`` (int64) is
-    the stable argsort of the build keys in the common dtype of both sides.
+    the stable argsort of the build keys in :func:`key_dtype`.
 
     Returns (probe ids, build ids) in canonical order, both int64.  Each
     probe row's matches are one run of ``order``.  When the build keys are
     unique integers spanning at most as many values as both sides hold,
     a direct-address table of build row ids answers each probe row with
     one lookup; otherwise each probe row is searched and its run expanded.
+    A signed integer side meets a uint64 side exactly: a negative key or
+    one above int64's maximum matches nothing, the rest compare as int64.
     """
+    if _signed_with_uint64(probe_keys.dtype, sorted_build.dtype):
+        rows = _int64_range(probe_keys)
+        kept = _int64_range(sorted_build)
+        probe_ids, build_ids = join_sorted(
+            probe_keys[rows].astype(np.int64),
+            sorted_build[kept].astype(np.int64),
+            order[kept],
+        )
+        return rows[probe_ids], build_ids
     dtype = np.result_type(probe_keys.dtype, sorted_build.dtype)
     probe = probe_keys.astype(dtype, copy=False)
     build = sorted_build.astype(dtype, copy=False)

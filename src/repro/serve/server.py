@@ -29,6 +29,7 @@ another tenant's cold columns, never an in-flight query's pinned ones.
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -87,6 +88,25 @@ def _count_nodes(plan: PlanNode) -> int:
     from repro.query.plan import walk
 
     return sum(1 for _node in walk(plan))
+
+
+@dataclass
+class _PlanRecord:
+    """What the server derives from one submitted plan object.
+
+    The fingerprint and scanned tables depend on the plan alone.  The
+    SJF cost and the admission working set also depend on the catalog,
+    so they are tagged with the ``versions`` of the scanned tables they
+    were estimated against.  Holding ``plan`` keeps its ``id`` from being
+    reused while the record lives.
+    """
+
+    plan: PlanNode
+    fingerprint: str
+    tables: Tuple[str, ...]
+    versions: Optional[Tuple[int, ...]] = None
+    cost: float = 0.0
+    working_set: int = 0
 
 
 @dataclass
@@ -159,6 +179,8 @@ class QueryServer:
         self._served_by_tenant: Dict[str, float] = {}
         self._queue: List[QueryRequest] = []
         self._costs: Dict[int, float] = {}
+        #: id(plan) -> its record, least recently used first.
+        self._plan_records: "OrderedDict[int, _PlanRecord]" = OrderedDict()
         #: (finished, estimated_bytes) of dispatched device requests —
         #: "in flight" at time t means finished > t.
         self._inflight: List[Tuple[float, int]] = []
@@ -273,9 +295,7 @@ class QueryServer:
 
     def enqueue(self, request: QueryRequest) -> None:
         """Queue a request, priced for the scheduling policy."""
-        self._costs[request.seq] = estimate_plan_cost(
-            request.plan, self.catalog
-        )
+        self._costs[request.seq] = self._plan_record(request.plan).cost
         self._queue.append(request)
 
     def ready_at(self) -> Optional[float]:
@@ -325,7 +345,8 @@ class QueryServer:
         request = arrived[
             self.policy.choose(arrived, self._costs, self._served_by_tenant)
         ]
-        estimated = estimate_working_set(request.plan, self.catalog)
+        plan_record = self._plan_record(request.plan)
+        estimated = plan_record.working_set
         self._inflight = [(f, b) for f, b in self._inflight if f > now]
         decision = self.admission.decide(
             estimated, sum(b for _f, b in self._inflight)
@@ -348,12 +369,41 @@ class QueryServer:
             # Pressure fallback: the request runs host-only, so it holds
             # no device bytes — it never joins the in-flight set the
             # admission controller is budgeting.
-            return self._dispatch(request, now, estimated, cpu_only=True)
+            return self._dispatch(
+                request, plan_record, now, estimated, cpu_only=True
+            )
         assert decision == ADMIT
         if prepare is not None:
             prepare(request)
-        record = self._dispatch(request, now, estimated)
+        record = self._dispatch(request, plan_record, now, estimated)
         self._inflight.append((record.finished, estimated))
+        return record
+
+    def _plan_record(self, plan: PlanNode) -> _PlanRecord:
+        """The plan's record, its estimates current for the catalog.
+
+        Keyed on the plan object's identity: clients resubmit one plan
+        object per query shape, and hashing a plan tree would cost more
+        than the lookup saves.  An :meth:`update_table` of a scanned
+        table makes the next lookup re-estimate.  At most as many
+        records as the plan cache holds plans; the least recently used
+        goes first.
+        """
+        record = self._plan_records.get(id(plan))
+        if record is None:
+            record = _PlanRecord(
+                plan, plan_fingerprint(plan), scanned_tables(plan)
+            )
+            self._plan_records[id(plan)] = record
+            if len(self._plan_records) > self.plan_cache.capacity:
+                self._plan_records.popitem(last=False)
+        else:
+            self._plan_records.move_to_end(id(plan))
+        versions = tuple(self._versions.get(t, 0) for t in record.tables)
+        if versions != record.versions:
+            record.cost = estimate_plan_cost(plan, self.catalog)
+            record.working_set = estimate_working_set(plan, self.catalog)
+            record.versions = versions
         return record
 
     # -- dispatch path ------------------------------------------------------
@@ -361,6 +411,7 @@ class QueryServer:
     def _dispatch(
         self,
         request: QueryRequest,
+        plan_record: _PlanRecord,
         start: float,
         estimated: int,
         cpu_only: bool = False,
@@ -377,12 +428,12 @@ class QueryServer:
             status=COMPLETED, arrival=request.arrival, dispatched=start,
             estimated_bytes=estimated, shed_to_cpu=cpu_only,
         )
-        fingerprint = plan_fingerprint(request.plan)
-        tables = scanned_tables(request.plan)
+        fingerprint = plan_record.fingerprint
 
         if self.config.result_cache:
             key = result_key(
-                fingerprint, self.backend.name, self._versions, tables
+                fingerprint, self.backend.name, self._versions,
+                plan_record.tables,
             )
             cached = self.result_cache.get(key)
             if cached is not None:

@@ -44,7 +44,7 @@ def _scaleout():
 
 
 def _serve():
-    return {"offered_requests": 16, "metrics": {
+    return {"offered_requests": 16, "oracle_mismatches": 0, "metrics": {
         "total_requests": 16, "completed": 16, "shed": 0,
         "throughput_qps": 8800.0,
     }}
@@ -175,6 +175,8 @@ REGRESSIONS = [
     _case("serve", "shed", _set("metrics.shed", 2), "shed requests"),
     _case("serve", "zero-throughput", _set("metrics.throughput_qps", 0.0),
           "nonzero throughput"),
+    _case("serve", "oracle", _set("oracle_mismatches", 1),
+          "results differing from the Q1/Q6 reference"),
     _case("tpch", "oracle", _set("queries.Q5.oracle_match", False),
           "Q5 oracle match"),
     _case("tpch", "empty-oracle", _set("queries.Q18.oracle_rows", 0),

@@ -6,6 +6,8 @@ import gc
 import numpy as np
 import pytest
 
+from repro.core import default_framework
+from repro.core.predicate import InSet
 from repro.errors import ArraySizeMismatchError, LibraryError
 from repro.gpu import Device
 from repro.libs import arrayfire as af
@@ -208,6 +210,42 @@ class TestLazyGraphBuild:
         # One node per operation when built, one when eval numbers it.
         assert all(count <= 2 * depth for depth, count in counts.items())
         assert counts[200] <= 2 * counts[100] <= 4 * counts[50]
+
+
+class TestTreesDeeperThanTheRecursionLimit:
+    """Numbering, flattening and evaluating walk explicit stacks, so a
+    tree thousands of nodes deep fuses like a shallow one."""
+
+    def test_large_in_set_selection_matches_the_oracle(self, device, rng):
+        """A 5,000-value InSet lowers to a 10,000-node ``|`` chain."""
+        backend = default_framework().create("arrayfire", device)
+        data = rng.integers(0, 20000, 1000).astype(np.int32)
+        values = tuple(float(v) for v in range(0, 10000, 2))
+        ids = backend.download(backend.selection(
+            {"x": backend.upload(data)}, InSet("x", values)
+        ))
+        assert np.array_equal(ids, np.flatnonzero(np.isin(data, values)))
+
+    def test_deep_right_nested_signature_and_leaves(self, rt, monkeypatch):
+        seen = []
+        analyze = jit.analyze
+
+        def recording(root, leaf_dtypes):
+            seen.append(analyze(root, leaf_dtypes))
+            return seen[-1]
+
+        monkeypatch.setattr(jit, "analyze", recording)
+        depth = 3000
+        xs, expr = TestLazyGraphBuild._right_nested(rt, depth)
+        expr.eval()
+        (kernel,) = seen
+        assert kernel.signature == (
+            "".join(f"add[float64](in{i}:float64" for i in range(depth))
+            + f"in{depth}:float64" + ")" * depth
+        )
+        assert (kernel.node_count, kernel.leaf_count) == (depth, depth + 1)
+        want = sum(np.arange(4.0) + i for i in range(depth + 1))
+        assert np.array_equal(expr.peek(), want)
 
 
 class TestJitCache:

@@ -28,8 +28,9 @@ from repro.serve import (
     ServerConfig,
     repeated_workload,
 )
+from repro.relational.column import Column
 from repro.tpch import TpchGenerator
-from repro.tpch.queries import q1, q6
+from repro.tpch.queries import q1, q6, q16
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +164,31 @@ class TestResultCacheServing:
         assert new_revenue != old_revenue
         expected = q6.reference(server.catalog)["revenue"][0]
         assert new_revenue == pytest.approx(expected)
+
+    def test_update_of_a_table_only_a_subquery_reads_invalidates(self):
+        """Q16 reads supplier only in its NOT IN subquery; after every
+        balance rises above the exclusion bound, Q16 must be served
+        fresh, not from the cache."""
+        catalog = TpchGenerator(scale_factor=0.004, seed=19920101).generate()
+        workload = repeated_workload(
+            [QuerySpec("Q16", q16.plan(catalog))], rate=300.0, repeats=1
+        )
+        with _server(catalog, keep_results=True) as server:
+            before = server.run(workload)
+            supplier = catalog["supplier"]
+            balance = supplier.column("s_acctbal")
+            server.update_table("supplier", supplier.with_column(Column(
+                "s_acctbal", balance.ctype, np.full_like(balance.data, 1000.0)
+            )))
+            assert server.result_cache.invalidations == 1
+            after = server.run(workload)
+        expected = q16.reference(server.catalog)
+        assert len(expected["supplier_cnt"]) > 0
+        (old,), (new,) = before.records, after.records
+        assert not new.result_cache_hit
+        got = new.table.column("supplier_cnt").data
+        assert np.array_equal(got, expected["supplier_cnt"])
+        assert not np.array_equal(got, old.table.column("supplier_cnt").data)
 
     def test_update_table_rejects_unknown_tables(self, catalog):
         with _server(catalog) as server:

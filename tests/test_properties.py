@@ -22,7 +22,7 @@ from repro.core.backend import join_reference
 from repro.gpu import Device
 from repro.libs import arrayfire as af
 from repro.libs import thrust
-from repro.relational.hashjoin import join_sorted
+from repro.relational.hashjoin import join_sorted, key_dtype
 from repro.relational.keys import stable_argsort
 
 # Bounded int32 values keep sums exact in float64 accumulators.
@@ -102,9 +102,11 @@ def _dense_sides(draw):
 def _near_2_53_sides(draw):
     """float64/int64 or int64/uint64 sides, either way round, whose keys
     lie around 2**53: their common dtype is float64, in which neighbouring
-    integers there become equal, so a side sorted in its own dtype is not
-    sorted in the common one.  At most 7 keys a side: a float64 side has
-    only 7 distinct values to draw a unique build side from."""
+    integers there become equal.  Against a float64 side they are equal,
+    so a side sorted in its own dtype is not sorted in the common one;
+    int64 against uint64 must compare exactly.  At most 7 keys a side: a
+    float64 side has only 7 distinct values to draw a unique build side
+    from."""
     dtypes = draw(st.permutations(draw(st.sampled_from(
         [(np.float64, np.int64), (np.int64, np.uint64)]
     ))))
@@ -152,13 +154,16 @@ def join_sides(draw):
 
 
 def _brute_force_join(left, right):
-    """Every (left id, right id) pair whose keys are equal in the common
-    dtype of both sides, NaN == NaN.  (NumPy's ``==`` compares int64 with
-    uint64 exactly; the join casts both to their common dtype, float64.)"""
-    dtype = np.result_type(left.dtype, right.dtype)
-    left, right = left.astype(dtype), right.astype(dtype)
+    """Every (left id, right id) pair whose keys are equal, NaN == NaN.
+    Two integer sides compare exactly, as NumPy's ``==`` compares them
+    (int64 with uint64 included); a float side compares in the common
+    dtype of both sides."""
+    floats = "f" in (left.dtype.kind, right.dtype.kind)
+    if floats:
+        dtype = np.result_type(left.dtype, right.dtype)
+        left, right = left.astype(dtype), right.astype(dtype)
     equal = left[:, None] == right[None, :]
-    if dtype.kind == "f":
+    if floats:
         equal |= np.isnan(left)[:, None] & np.isnan(right)[None, :]
     left_ids, right_ids = np.nonzero(equal)
     return left_ids.astype(np.int64), right_ids.astype(np.int64)
@@ -309,14 +314,25 @@ class TestJoinProperties:
             assert np.array_equal(dr[order], reference[1]), method
 
     @given(sides=join_sides())
+    @example(sides=(
+        np.array([2**53 + 1], dtype=np.int64),
+        np.array([2**53], dtype=np.uint64),
+    ))
+    @example(sides=(
+        np.array([2**64 - 1, 2**63 - 1, 7, 7], dtype=np.uint64),
+        np.array([-1, 7, 2**63 - 1, -1], dtype=np.int64),
+    ))
     @settings(max_examples=150, deadline=None)
     def test_join_reference_matches_brute_force(self, sides):
         """Same pairs, same canonical order, both arrays int64, from
         join_reference and from the pair kernel on a build side sorted
-        elsewhere, in the common dtype as join_sorted requires."""
+        elsewhere, in the dtype join_sorted requires.  The examples are
+        int64 against uint64 keys that are equal only in float64, and a
+        uint64 key above int64's maximum that wraps to a negative key
+        when cast."""
         left, right = sides
         want_l, want_r = _brute_force_join(left, right)
-        order = stable_argsort(right.astype(np.result_type(left.dtype, right.dtype)))
+        order = stable_argsort(right.astype(key_dtype(left.dtype, right.dtype)))
         for got_l, got_r in (
             join_reference(left, right),
             join_sorted(left, right[order], order),

@@ -6,11 +6,10 @@ from repro.bench.calibration import (
     launch_overhead,
     render_calibration_report,
 )
-from repro.bench.charts import render_bar_chart, render_scaling_chart
+from repro.bench.charts import render_bar_chart
 
 from repro.bench.report import (
     render_all,
-    render_breakdown,
     render_series,
     summarize_winners,
     write_report,
@@ -38,13 +37,11 @@ __all__ = [
     "effective_compute",
     "launch_overhead",
     "render_bar_chart",
-    "render_scaling_chart",
     "SweepRunner",
     "SweepResult",
     "Measurement",
     "run_simple_sweep",
     "render_series",
-    "render_breakdown",
     "render_all",
     "summarize_winners",
     "write_report",

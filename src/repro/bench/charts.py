@@ -9,7 +9,7 @@ stay readable.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 from repro.bench.runner import SweepResult
 
@@ -60,34 +60,5 @@ def render_bar_chart(
             lines.append(
                 f"{name.rjust(name_width)}  {'n/a':>10}     "
                 "(unsupported — Table II)"
-            )
-    return "\n".join(lines)
-
-
-def render_scaling_chart(
-    result: SweepResult,
-    backend: str,
-    width: int = 40,
-) -> str:
-    """One backend's series across all points as log-scaled bars.
-
-    Linear operators show bars growing ~10 chars per 10x input; super-
-    linear ones grow faster — scaling shape at a glance.
-    """
-    series = result.ms(backend)
-    timed: List[Optional[float]] = list(series)
-    positive = [ms for ms in timed if ms is not None and ms > 0.0]
-    if not positive:
-        return f"== {result.title} [{backend}] ==\n(no measurements)"
-    smallest = min(positive)
-    point_width = max(len(str(p)) for p in result.points)
-    lines = [f"== {result.title} [{backend}] =="]
-    for point, ms in zip(result.points, timed):
-        label = str(point).rjust(point_width)
-        if ms is None:
-            lines.append(f"{label}  {'n/a':>10}")
-        else:
-            lines.append(
-                f"{label}  {ms:10.4f} ms  {_bar(ms, smallest, width)}"
             )
     return "\n".join(lines)

@@ -57,27 +57,6 @@ def render_series(
     return "\n".join(lines)
 
 
-def render_breakdown(result: SweepResult, point_index: int = 0) -> str:
-    """Kernel/transfer/compile breakdown at one sweep point."""
-    lines = [
-        f"== {result.title} — cost breakdown at "
-        f"{result.points[point_index]} ==",
-        f"{'backend':>16}  {'total ms':>10}  {'kernel':>10}  "
-        f"{'transfer':>10}  {'compile':>10}  {'kernels':>8}",
-    ]
-    for backend, series in result.series.items():
-        measurement = series[point_index]
-        if measurement is None:
-            lines.append(f"{backend:>16}  {'n/a':>10}")
-            continue
-        lines.append(
-            f"{backend:>16}  {measurement.simulated_ms:10.3f}  "
-            f"{measurement.kernel_ms:10.3f}  {measurement.transfer_ms:10.3f}  "
-            f"{measurement.compile_ms:10.3f}  {measurement.kernel_count:8d}"
-        )
-    return "\n".join(lines)
-
-
 def summarize_winners(result: SweepResult) -> str:
     """Which backend wins at each point (the paper's qualitative claims)."""
     lines = [f"winners for {result.title}:"]

@@ -52,7 +52,6 @@ from repro.core.predicate import (
     col_eq,
     col_ge,
     col_gt,
-    col_in,
     col_le,
     col_lt,
     col_ne,
@@ -103,7 +102,6 @@ __all__ = [
     "And",
     "Or",
     "Not",
-    "col_in",
     "col_lt",
     "col_le",
     "col_gt",

@@ -84,6 +84,9 @@ class ArrayFireBackend(OperatorBackend):
     def download(self, handle: Handle) -> np.ndarray:
         return handle.to_host()
 
+    def wrap(self, array: np.ndarray, label: str) -> Handle:
+        return self.runtime.from_result(array, label)
+
     # -- selection -----------------------------------------------------------------
 
     def selection(

@@ -91,6 +91,15 @@ class OperatorBackend(abc.ABC):
     def download(self, handle: Handle) -> np.ndarray:
         """Copy a handle's contents back to the host."""
 
+    @abc.abstractmethod
+    def wrap(self, array: np.ndarray, label: str) -> Handle:
+        """This backend's handle for bytes already on the device.
+
+        Nothing is transferred or charged: the caller has produced the
+        bytes on the device (a kernel result, a decoded store chunk) or
+        priced their transfer itself (a batched staging copy).
+        """
+
     # -- Table II operators -----------------------------------------------------
 
     @abc.abstractmethod

@@ -11,14 +11,16 @@ It inherits every eager operator from :class:`HandwrittenBackend` (the
 tuned baseline — a compiling engine's generated code is at least as good
 as expert kernels for the operators it does *not* fuse) and adds:
 
-* ``supports_fused_pipelines`` — routes execution through the pipeline
-  IR (:mod:`repro.query.pipeline`) and its runner
-  (:mod:`repro.query.compiled`);
+* ``supports_fused_pipelines`` — lets the pipeline runner
+  (:mod:`repro.query.runner`) run a segment of the pipeline IR
+  (:mod:`repro.query.pipeline`) as one fused kernel;
 * a **program cache** — each distinct pipeline signature pays JIT
   codegen once (a serialising :meth:`~repro.gpu.device.Device.compile_program`
   charge, like Boost.Compute's OpenCL builds), then launches for free;
 * :meth:`launch_fused` — one single-DRAM-pass kernel charge for an
-  entire pipeline segment (``FUSED[...]`` events in Chrome traces);
+  entire pipeline segment (``FUSED[...]`` events in Chrome traces), and
+  :meth:`merge_groups` for the partial-aggregate merge that ends a
+  fused keyed group-by;
 * a ``fusion`` mode: ``"auto"`` consults the optimizer's
   fusion-boundary cost model per segment, ``"on"``/``"off"`` force it.
 """
@@ -131,4 +133,20 @@ class CompiledBackend(HandwrittenBackend):
             fixed_flops=fixed_flops,
             fixed_bytes=fixed_bytes,
             passes=1,
+        )
+
+    def merge_groups(self, groups: int, aggregates: int) -> float:
+        """Merge a fused group-by's per-tile partial aggregates.
+
+        The one pipeline breaker of a fused keyed group-by: two passes
+        over ``groups`` rows, each a key plus ``aggregates`` values.
+        """
+        row_bytes = 8.0 + 8.0 * aggregates
+        return self.runtime._charge(
+            f"groupmerge[{aggregates} aggs]",
+            groups,
+            flops=2.0 * aggregates,
+            read=row_bytes,
+            written=row_bytes,
+            passes=2,
         )

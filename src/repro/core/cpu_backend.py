@@ -42,6 +42,9 @@ class CpuReferenceBackend(OperatorBackend):
     def download(self, handle: np.ndarray) -> np.ndarray:
         return np.asarray(handle).copy()
 
+    def wrap(self, array: np.ndarray, label: str) -> np.ndarray:
+        return np.ascontiguousarray(array)
+
     # -- operators -------------------------------------------------------------
 
     def selection(

@@ -276,12 +276,6 @@ def year_of(column: ExprLike) -> ExtractYear:
     return ExtractYear(as_expr(column))
 
 
-def case_when(condition: Predicate, then: ExprLike,
-              otherwise: ExprLike) -> CaseWhen:
-    """Shorthand ``CASE WHEN ... THEN ... ELSE ... END`` constructor."""
-    return CaseWhen(condition, as_expr(then), as_expr(otherwise))
-
-
 def flatten(expr: Expr) -> Tuple[Expr, ...]:
     """Post-order traversal of the tree's nodes (used by eager backends)."""
     if isinstance(expr, BinOp):

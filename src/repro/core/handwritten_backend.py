@@ -171,7 +171,7 @@ class HandwrittenBackend(OperatorBackend):
     def download(self, handle: Handle) -> np.ndarray:
         return handle.to_host()
 
-    def _wrap(self, array: np.ndarray, label: str) -> DeviceArray:
+    def wrap(self, array: np.ndarray, label: str) -> DeviceArray:
         return self.runtime._materialize(np.ascontiguousarray(array), label)
 
     # -- selection -----------------------------------------------------------------
@@ -199,7 +199,7 @@ class HandwrittenBackend(OperatorBackend):
             passes=2,
         )
         self.device.transfer_to_host(8, "selection_count")
-        return self._wrap(ids, "hw::select_ids")
+        return self.wrap(ids, "hw::select_ids")
 
     # -- joins ------------------------------------------------------------------------
 
@@ -219,8 +219,8 @@ class HandwrittenBackend(OperatorBackend):
             written=16.0 * (len(left_ids) / max(n, 1)),
         )
         return (
-            self._wrap(left_ids, "hw::nlj_left"),
-            self._wrap(right_ids, "hw::nlj_right"),
+            self.wrap(left_ids, "hw::nlj_left"),
+            self.wrap(right_ids, "hw::nlj_right"),
         )
 
     def merge_join(
@@ -251,8 +251,8 @@ class HandwrittenBackend(OperatorBackend):
             passes=2,
         )
         return (
-            self._wrap(left_ids, "hw::mj_left"),
-            self._wrap(right_ids, "hw::mj_right"),
+            self.wrap(left_ids, "hw::mj_left"),
+            self.wrap(right_ids, "hw::mj_right"),
         )
 
     def hash_join(
@@ -264,8 +264,8 @@ class HandwrittenBackend(OperatorBackend):
         subsystem (:mod:`repro.relational.hashjoin`)."""
         result = self._hash_joiner.join(left_keys.peek(), right_keys.peek())
         return (
-            self._wrap(result.left_ids, "hw::hj_left"),
-            self._wrap(result.right_ids, "hw::hj_right"),
+            self.wrap(result.left_ids, "hw::hj_left"),
+            self.wrap(result.right_ids, "hw::hj_right"),
         )
 
     # -- aggregation ---------------------------------------------------------------------
@@ -307,8 +307,8 @@ class HandwrittenBackend(OperatorBackend):
             passes=2,
         )
         return (
-            self._wrap(unique_keys, "hw::group_keys"),
-            self._wrap(out_values, "hw::group_values"),
+            self.wrap(unique_keys, "hw::group_keys"),
+            self.wrap(out_values, "hw::group_values"),
         )
 
     def reduction(self, values: Handle, agg: str = "sum") -> float:
@@ -346,7 +346,7 @@ class HandwrittenBackend(OperatorBackend):
             written=1.0 * values.itemsize * digit_passes,
             passes=2 * digit_passes,
         )
-        return self._wrap(data, "hw::sort_out")
+        return self.wrap(data, "hw::sort_out")
 
     def sort_by_key(
         self, keys: Handle, values: Handle, descending: bool = False
@@ -366,8 +366,8 @@ class HandwrittenBackend(OperatorBackend):
             passes=2 * digit_passes,
         )
         return (
-            self._wrap(keys.peek()[order], "hw::sbk_keys"),
-            self._wrap(values.peek()[order], "hw::sbk_values"),
+            self.wrap(keys.peek()[order], "hw::sbk_keys"),
+            self.wrap(values.peek()[order], "hw::sbk_values"),
         )
 
     def prefix_sum(self, values: Handle) -> Handle:
@@ -383,7 +383,7 @@ class HandwrittenBackend(OperatorBackend):
             read=float(values.itemsize),
             written=float(values.itemsize),
         )
-        return self._wrap(result, "hw::scan_out")
+        return self.wrap(result, "hw::scan_out")
 
     def gather(self, source: Handle, indices: Handle) -> Handle:
         index_data = indices.peek().astype(np.int64, copy=False)
@@ -397,7 +397,7 @@ class HandwrittenBackend(OperatorBackend):
             read=indices.itemsize + 4.0 * source.itemsize,
             written=source.itemsize,
         )
-        return self._wrap(result, "hw::gather_out")
+        return self.wrap(result, "hw::gather_out")
 
     def scatter(self, source: Handle, indices: Handle, length: int) -> Handle:
         index_data = indices.peek().astype(np.int64, copy=False)
@@ -413,7 +413,7 @@ class HandwrittenBackend(OperatorBackend):
             written=4.0 * source.itemsize,
             fixed_bytes=float(out.nbytes),  # zero-fill pass
         )
-        return self._wrap(out, "hw::scatter_out")
+        return self.wrap(out, "hw::scatter_out")
 
     def product(self, left: Handle, right: Handle) -> Handle:
         if len(left) != len(right):
@@ -426,7 +426,7 @@ class HandwrittenBackend(OperatorBackend):
             read=left.itemsize + right.itemsize,
             written=result.dtype.itemsize,
         )
-        return self._wrap(result, "hw::product_out")
+        return self.wrap(result, "hw::product_out")
 
     def compute(self, columns: Dict[str, Handle], expr: Expr) -> Handle:
         """One fused kernel for the whole expression tree."""
@@ -443,11 +443,11 @@ class HandwrittenBackend(OperatorBackend):
             read=read,
             written=float(result.dtype.itemsize),
         )
-        return self._wrap(result, "hw::expr_out")
+        return self.wrap(result, "hw::expr_out")
 
     def iota(self, n: int) -> Handle:
         self.runtime._charge("iota", n, flops=1.0, written=8.0)
-        return self._wrap(np.arange(n, dtype=np.int64), "hw::iota")
+        return self.wrap(np.arange(n, dtype=np.int64), "hw::iota")
 
     # -- metadata -----------------------------------------------------------------------
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-import numpy as np
-
 from repro.core.arrayfire_backend import ArrayFireBackend
 from repro.core.backend import (
     Handle,
@@ -41,9 +39,9 @@ class HashJoinExtensionMixin:
     """Adds a simulated hash join to a library backend.
 
     The mixin reuses the host backend's runtime profile so the new kernels
-    are priced at the same efficiency tier as the library's own operators.
-    Subclasses override the peek/wrap hooks when their handle type is not a
-    plain :class:`~repro.libs.base.DeviceArray`.
+    are priced at the same efficiency tier as the library's own operators,
+    and returns the pair ids as the library's own handles
+    (:meth:`~repro.core.backend.OperatorBackend.wrap`).
     """
 
     def _hash_joiner(self) -> SimulatedHashJoin:
@@ -55,27 +53,15 @@ class HashJoinExtensionMixin:
             self._hash_joiner_instance = joiner
         return joiner
 
-    # -- handle hooks ------------------------------------------------------
-
-    def _extension_peek(self, handle: Handle) -> np.ndarray:
-        """Host mirror of a key column (no transfer charged)."""
-        return handle.peek()
-
-    def _extension_wrap(self, data: np.ndarray, label: str) -> Handle:
-        """Wrap a device-produced result in the host backend's handle."""
-        return self._wrap(data, label)
-
     # -- the added operator ------------------------------------------------
 
     def hash_join(
         self, left_keys: Handle, right_keys: Handle
     ) -> Tuple[Handle, Handle]:
-        result = self._hash_joiner().join(
-            self._extension_peek(left_keys), self._extension_peek(right_keys)
-        )
+        result = self._hash_joiner().join(left_keys.peek(), right_keys.peek())
         return (
-            self._extension_wrap(result.left_ids, f"{self.name}::hj_left"),
-            self._extension_wrap(result.right_ids, f"{self.name}::hj_right"),
+            self.wrap(result.left_ids, f"{self.name}::hj_left"),
+            self.wrap(result.right_ids, f"{self.name}::hj_right"),
         )
 
     def support(self) -> Dict[Operator, OperatorSupport]:
@@ -102,13 +88,6 @@ class ArrayFireHashBackend(HashJoinExtensionMixin, ArrayFireBackend):
     """ArrayFire emulation plus a JIT-tier hash join."""
 
     name = "arrayfire+hash"
-
-    def _extension_peek(self, handle: Handle) -> np.ndarray:
-        # ArrayFire handles are lazy Arrays; force them and read storage.
-        return handle.storage().peek()
-
-    def _extension_wrap(self, data: np.ndarray, label: str) -> Handle:
-        return self.runtime.from_result(data, label)
 
 
 #: Factory table used by the framework registration.

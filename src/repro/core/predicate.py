@@ -279,11 +279,6 @@ def col_between(column: str, low: float, high: float) -> Between:
     return Between(column, low, high)
 
 
-def col_in(column: str, values: Sequence[float]) -> InSet:
-    """``column IN (values...)`` with a deduplicated, sorted value list."""
-    return InSet(column, tuple(sorted(set(float(v) for v in values))))
-
-
 def col_cmp(left: str, op: str, right: str) -> CompareCols:
     """Column-to-column comparison, e.g. ``col_cmp("a", "lt", "b")``."""
     return CompareCols(left, op, right)

@@ -137,7 +137,7 @@ class StlStyleBackend(OperatorBackend):
         """Uninitialised device vector."""
         raise NotImplementedError
 
-    def _wrap(self, array: np.ndarray, label: str) -> Handle:
+    def wrap(self, array: np.ndarray, label: str) -> Handle:
         """Wrap a device-side result without a transfer."""
         return self.runtime._materialize(np.ascontiguousarray(array), label)
 
@@ -239,8 +239,8 @@ class StlStyleBackend(OperatorBackend):
             written=16.0 * (len(left_ids) / max(n, 1)),
         )
         return (
-            self._wrap(left_ids, "nlj_left_ids"),
-            self._wrap(right_ids, "nlj_right_ids"),
+            self.wrap(left_ids, "nlj_left_ids"),
+            self.wrap(right_ids, "nlj_right_ids"),
         )
 
     def merge_join(
@@ -294,8 +294,8 @@ class StlStyleBackend(OperatorBackend):
             written=16.0,
         )
         return (
-            self._wrap(left_ids, "mj_left_ids"),
-            self._wrap(right_ids, "mj_right_ids"),
+            self.wrap(left_ids, "mj_left_ids"),
+            self.wrap(right_ids, "mj_right_ids"),
         )
 
     def _iota_vector(self, n: int) -> Handle:
@@ -317,8 +317,8 @@ class StlStyleBackend(OperatorBackend):
             )
         if len(keys) == 0:
             return (
-                self._wrap(np.empty(0, keys.dtype), "group_keys"),
-                self._wrap(np.empty(0, np.float64), "group_values"),
+                self.wrap(np.empty(0, keys.dtype), "group_keys"),
+                self.wrap(np.empty(0, np.float64), "group_values"),
             )
         sorted_keys = self._lib.copy(keys)
         sorted_values = self._lib.copy(values)

@@ -5,8 +5,9 @@
 catalog — one on a simulated GPU, one on a :class:`~repro.cpu.host.HostDevice`
 — lowers each plan to the shared pipeline IR, asks the placement
 optimizer (:mod:`repro.hetero.placement`) which side each pipeline runs
-on, and runs each pipeline with that side's
-:class:`~repro.query.compiled.PipelineRunner`.  Fusion stays the
+on, and runs each pipeline with that side's executor's
+:class:`~repro.query.runner.PipelineRunner` (a session's executor brings
+its resident-column cache along).  Fusion stays the
 runner's per-pipeline policy, so only a GPU backend that supports fused
 pipelines fuses; the host backend runs every pipeline eager, replaying
 the per-operator kernels on the host roofline (there is no host JIT).
@@ -18,12 +19,18 @@ device, one upload on the consumer's.  On the GPU both legs are priced
 PCIe transfers (visible in the profiler as ``hetero.stage.*`` events);
 on the host both are free — so each boundary crossing costs exactly one
 PCIe leg, which is precisely the transfer term the placement model
-charged when it chose to cross.
+charged when it chose to cross.  The staged columns become the
+consumer backend's own handles through its public
+:meth:`~repro.core.backend.OperatorBackend.wrap`.
 
-**Bit-identity.**  Both sides run the same pipeline runner with the
-same NumPy semantics, and staging copies column data and metadata
-verbatim, so pure-CPU, pure-GPU, and any hybrid assignment produce
-byte-identical tables; only the cost events differ.
+**Results.**  Both sides run the same pipeline runner and staging
+copies column data and metadata verbatim, so every placement matches
+the NumPy oracle.  Over the handwritten family (handwritten, compiled,
+cudf), which shares the host's NumPy semantics, pure-CPU, pure-GPU and
+any hybrid assignment produce byte-identical tables; only the cost
+events differ.  The libraries keep their own arithmetic: Thrust and
+Boost.Compute sum in their own order, so their tables can differ from
+the host's in the last bits.
 """
 
 from __future__ import annotations
@@ -33,13 +40,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.gpu.profiler import merge_summaries, to_chrome_trace, track_metadata
-from repro.query.compiled import PipelineRunner
 from repro.query.executor import (
     ExecutionReport,
     ExecutionResult,
-    HostColumn,
     QueryExecutor,
-    Relation,
 )
 from repro.query.pipeline import (
     Pipeline,
@@ -49,6 +53,7 @@ from repro.query.pipeline import (
     lower_plan,
 )
 from repro.query.plan import PlanNode
+from repro.query.runner import HostColumn, Relation
 from repro.relational.table import Table
 
 from repro.hetero.placement import (
@@ -59,23 +64,6 @@ from repro.hetero.placement import (
     PlacementModel,
     place_pipelines,
 )
-
-
-def _wrap_on(backend, data, label):
-    """Wrap already-transferred bytes as a device handle, no H2D charge.
-
-    Staging charges the batched copy itself (see ``_stage``); wrapping
-    per column through ``backend.upload`` would double-charge the link
-    latency per column.  Same fallback chain as the tiered store's
-    ``_materialize``.
-    """
-    wrap = getattr(backend, "_wrap", None)
-    if wrap is not None:
-        return wrap(data, label)
-    runtime = getattr(backend, "runtime", None)
-    if runtime is not None and hasattr(runtime, "_materialize"):
-        return runtime._materialize(data, label)
-    return backend.upload(data, label)
 
 
 @dataclass(frozen=True)
@@ -150,9 +138,6 @@ class HeterogeneousExecutor:
         self.catalog = self.gpu.catalog
         self.model = model if model is not None else PlacementModel.default()
         self.mode = mode
-        self._runners = {
-            GPU: PipelineRunner(self.gpu), CPU: PipelineRunner(self.cpu)
-        }
         #: Placement chosen for the most recent ``execute`` call.
         self.last_placement: Optional[Placement] = None
 
@@ -191,14 +176,16 @@ class HeterogeneousExecutor:
         for pipeline in program.pipelines:
             device = placement.device_for(pipeline.pid)
             staged_bytes += self._stage_inputs(pipeline, device, outputs)
-            outputs[device][pipeline.pid] = self._runners[device].run_pipeline(
+            runner = self._side(device).runner
+            outputs[device][pipeline.pid] = runner.run_pipeline(
                 pipeline, outputs[device]
             )
 
         result_device = placement.device_for(program.result_pid)
-        owner = self.cpu if result_device == CPU else self.gpu
         relation = outputs[result_device][program.result_pid]
-        table = owner.materialise(relation, result_name)
+        table = self._side(result_device).runner.materialise(
+            relation, result_name
+        )
 
         gpu_seconds = gpu_device.clock.elapsed_since(g0)
         cpu_seconds = cpu_device.clock.elapsed_since(c0)
@@ -222,6 +209,10 @@ class HeterogeneousExecutor:
         return ExecutionResult(table=table, report=report)
 
     # -- staging -------------------------------------------------------------------
+
+    def _side(self, device: str) -> QueryExecutor:
+        """The executor of one placement side (``CPU`` or ``GPU``)."""
+        return self.cpu if device == CPU else self.gpu
 
     def _stage_inputs(
         self,
@@ -247,9 +238,7 @@ class HeterogeneousExecutor:
             other = CPU if device == GPU else GPU
             relation = outputs[other][pid]
             outputs[device][pid], nbytes = self._stage(
-                relation,
-                source=self.cpu if other == CPU else self.gpu,
-                target=self.cpu if device == CPU else self.gpu,
+                relation, source=self._side(other), target=self._side(device)
             )
             moved += nbytes
         return moved
@@ -287,10 +276,11 @@ class HeterogeneousExecutor:
         if pending:
             source.backend.device.transfer_to_host(moved, "hetero.stage.d2h")
             target.backend.device.transfer_to_device(moved, "hetero.stage.h2d")
+        # The batched copy above is the whole charge: each column is then
+        # wrapped as device-resident, not uploaded (which would charge the
+        # link latency again per column).
         for name, data in pending:
-            columns[name] = _wrap_on(
-                target.backend, data, f"hetero.stage.{name}"
-            )
+            columns[name] = target.backend.wrap(data, f"hetero.stage.{name}")
         return (
             Relation(
                 columns=columns,

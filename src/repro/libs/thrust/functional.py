@@ -155,26 +155,6 @@ def less_equal(threshold: float) -> Functor:
     )
 
 
-def equal_to_value(value: float) -> Functor:
-    """Unary predicate ``x == value``."""
-    return Functor(
-        f"equal_to({value})",
-        lambda x: x == value,
-        arity=1,
-        flops=1.0,
-    )
-
-
-def not_equal_to_value(value: float) -> Functor:
-    """Unary predicate ``x != value``."""
-    return Functor(
-        f"not_equal_to({value})",
-        lambda x: x != value,
-        arity=1,
-        flops=1.0,
-    )
-
-
 def between(low: float, high: float) -> Functor:
     """Unary predicate ``low <= x < high`` (half-open, SQL BETWEEN-style
     ranges are composed from two comparisons when closed bounds are

@@ -42,9 +42,11 @@ chain: the other (*build*) side runs once and lands on the host, and
 each chunk joins a row slice of the probe table against a re-scan of
 that build table.
 
-When the executor carries a tiered column store, each chunk's
-sub-executor receives a :class:`~repro.storage.tiered.StoreSlice` view so
-scans promote only the covering compressed chunks of its row range.
+Each chunk and the build side run on their own
+:class:`~repro.query.runner.PipelineRunner`, which scans without any
+session cache.  When the executor carries a tiered column store, each
+chunk's runner receives a :class:`~repro.storage.tiered.StoreSlice` view
+so scans promote only the covering compressed chunks of its row range.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from repro.query.plan import (
     Scan,
     TopK,
 )
+from repro.query.runner import PipelineRunner
 from repro.relational.column import Column
 from repro.relational.table import Table, concat_tables
 from repro.relational.types import ColumnType
@@ -352,8 +355,7 @@ def try_execute_chunked(
     the whole pipelined execution: its ``simulated_seconds`` is the
     makespan across all engines, which is where the overlap win shows up.
     """
-    from repro.query.compiled import PipelineRunner
-    from repro.query.executor import ExecutionReport, ExecutionResult, QueryExecutor
+    from repro.query.executor import ExecutionReport, ExecutionResult
 
     requested = chunks if chunks is not None else (executor.scan_chunks or 1)
     split = split_plan(plan)
@@ -396,14 +398,14 @@ def try_execute_chunked(
                 set(split.group_by.required_columns()) & available
                 | {build_key}
             )
-        build_exec = QueryExecutor(
+        build_runner = PipelineRunner(
             executor.backend,
             executor.catalog,
             join_strategy=executor.join_strategy,
             store=executor.store,
         )
-        build_relation = PipelineRunner(build_exec).run(build_plan, needed)
-        catalog[PROBE_BUILD_TABLE] = build_exec.materialise(
+        build_relation = build_runner.run(build_plan, needed)
+        catalog[PROBE_BUILD_TABLE] = build_runner.materialise(
             build_relation, PROBE_BUILD_TABLE
         )
         build_relation = None  # release the build's device handles
@@ -412,16 +414,16 @@ def try_execute_chunked(
     chunk_tables: List[Table] = []
     for i, (lo, hi) in enumerate(bounds):
         catalog[table_name] = slice_table(table, lo, hi)
-        sub = QueryExecutor(
+        runner = PipelineRunner(
             executor.backend,
             catalog,
             join_strategy=executor.join_strategy,
             store=_slice_store(executor.store, table_name, lo, hi),
         )
         with device.stream_scope(streams[i % num_streams]):
-            relation = PipelineRunner(sub).run(sub_plan)
+            relation = runner.run(sub_plan)
             chunk_tables.append(
-                sub.materialise(relation, f"{result_name}.chunk{i}")
+                runner.materialise(relation, f"{result_name}.chunk{i}")
             )
     device.synchronize()
 

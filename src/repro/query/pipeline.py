@@ -24,7 +24,8 @@ The lowering pass (:func:`lower_plan`) also prunes columns top-down: each
 source and stage records the columns its consumers still need, so a scan
 uploads only referenced columns and every stage drops the rest as early
 as possible.  Every plan of every backend runs through this IR: the
-runner (:class:`repro.query.compiled.PipelineRunner`) interprets it, and
+runner (:class:`repro.query.runner.PipelineRunner`) interprets it and
+runs every stage, eager or fused, and
 the fusion-boundary cost model
 (:func:`repro.query.optimizer.fusion_decision`) chooses per pipeline
 whether fusing actually wins on a backend that can fuse.

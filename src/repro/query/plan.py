@@ -273,8 +273,10 @@ class InSubquery(Predicate):
         )
 
     def __repr__(self) -> str:
+        # The subplan is part of the repr: plan fingerprints hash it.
         word = "NOT IN" if self.negated else "IN"
-        return f"({self.column} {word} <subquery:{self.output}>)"
+        subquery = f"<subquery:{self.output} {self.subplan!r}>"
+        return f"({self.column} {word} {subquery})"
 
 
 @dataclass(frozen=True)
@@ -300,7 +302,9 @@ class ScalarCompare(Predicate):
         )
 
     def __repr__(self) -> str:
-        return f"({self.column} {self.op} <subquery:{self.output}>)"
+        # The subplan is part of the repr: plan fingerprints hash it.
+        subquery = f"<subquery:{self.output} {self.subplan!r}>"
+        return f"({self.column} {self.op} {subquery})"
 
 
 def walk(plan: PlanNode):

@@ -19,7 +19,6 @@ from repro.storage.codecs import (
     HEADER_BYTES,
     EncodedColumn,
     batch_decode_cost,
-    codec_summary,
     decode,
     decode_cost,
     encode,
@@ -41,7 +40,6 @@ __all__ = [
     "HEADER_BYTES",
     "EncodedColumn",
     "batch_decode_cost",
-    "codec_summary",
     "decode",
     "decode_cost",
     "encode",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -317,14 +317,3 @@ def batch_decode_cost(columns: Sequence[EncodedColumn]) -> KernelCost:
         bytes_written_per_element=raw / n,
         fixed_bytes=HEADER_BYTES,
     )
-
-
-def codec_summary(encoded: EncodedColumn) -> Dict[str, object]:
-    """Small JSON-friendly description (benchmarks, serve metrics)."""
-    return {
-        "codec": encoded.codec,
-        "rows": encoded.n,
-        "raw_bytes": encoded.raw_nbytes,
-        "compressed_bytes": encoded.compressed_nbytes,
-        "ratio": round(encoded.ratio, 3),
-    }

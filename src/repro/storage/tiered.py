@@ -269,9 +269,9 @@ class TieredColumnStore:
 
         Covering chunks are promoted to the device tier (NVMe -> host
         I/O, host -> device H2D of *compressed* bytes), decoded by a
-        simulated kernel, and the decoded rows are wrapped via the
-        backend's materialise path (no raw-size H2D is charged — the
-        raw bytes never cross the link).
+        simulated kernel, and the decoded rows are wrapped as the
+        backend's handle (no raw-size H2D is charged — the raw bytes
+        never cross the link).
         """
         return self.fetch_many(table, (column,), backend, lo, hi)[column]
 
@@ -332,29 +332,11 @@ class TieredColumnStore:
                     values = np.concatenate(parts)
                 self.stats.fetches += 1
                 self.stats.decoded_bytes += int(values.nbytes)
-                out[column] = self._materialize(
-                    backend, values, f"{table}.{column}"
-                )
+                out[column] = backend.wrap(values, f"{table}.{column}")
         finally:
             for chunk in all_cover:
                 chunk.pins -= 1
         return out
-
-    def _materialize(self, backend: Any, values: np.ndarray, label: str):
-        """Wrap decoded rows as a device handle without an H2D charge."""
-        wrap = getattr(backend, "_wrap", None)
-        if wrap is not None:
-            return wrap(values, label)
-        runtime = getattr(backend, "runtime", None)
-        if runtime is not None:
-            # ArrayFire's runtime wraps device-side results as Arrays;
-            # raw runtime._materialize storage would not be a Handle.
-            from_result = getattr(runtime, "from_result", None)
-            if from_result is not None:
-                return from_result(values, label)
-            if hasattr(runtime, "_materialize"):
-                return runtime._materialize(values, label)
-        return backend.upload(values, label)
 
     # -- tier movement -----------------------------------------------------
 

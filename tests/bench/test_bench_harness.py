@@ -8,7 +8,6 @@ from repro.bench import (
     fk_join_keys,
     grouped_keys,
     render_all,
-    render_breakdown,
     render_series,
     run_simple_sweep,
     scatter_permutation,
@@ -155,10 +154,6 @@ class TestReports:
     def test_render_series_with_speedup(self, result):
         text = render_series(result, show_speedup_vs="handwritten")
         assert "x vs" in text
-
-    def test_render_breakdown(self, result):
-        text = render_breakdown(result, point_index=1)
-        assert "kernel" in text and "transfer" in text
 
     def test_summarize_winners(self, result):
         text = summarize_winners(result)

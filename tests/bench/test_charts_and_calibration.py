@@ -8,7 +8,6 @@ from repro.bench import (
     launch_overhead,
     render_bar_chart,
     render_calibration_report,
-    render_scaling_chart,
     run_simple_sweep,
     selection_workload,
     uniform_ints,
@@ -79,17 +78,6 @@ class TestBarChart:
 
         expected_extra = 10.0 * math.log10(slow_ms / fast_ms)
         assert abs((slow_bar - fast_bar) - expected_extra) <= 2.0
-
-
-class TestScalingChart:
-    def test_renders_every_point(self, sweep):
-        chart = render_scaling_chart(sweep, "thrust")
-        assert "1000" in chart and "100000" in chart
-
-    def test_larger_input_longer_bar(self, sweep):
-        chart = render_scaling_chart(sweep, "thrust")
-        lines = chart.splitlines()[1:]
-        assert lines[0].count("█") <= lines[1].count("█")
 
 
 class TestCalibration:

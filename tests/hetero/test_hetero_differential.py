@@ -125,3 +125,29 @@ def test_hybrid_placements_occur_in_the_suite(catalog):
         if devices == {CPU, GPU}:
             mixed.append(name)
     assert mixed, "auto placement never mixed devices on any query"
+
+
+#: Every GPU-side backend the default framework registers.
+GPU_BACKENDS = tuple(
+    name for name in default_framework().backend_names
+    if not name.startswith("cpu-")
+)
+
+
+@pytest.mark.parametrize("backend", GPU_BACKENDS)
+def test_auto_placement_matches_the_oracle_on_every_gpu_backend(
+    backend, catalog
+):
+    """Staging wraps each column as the GPU backend's own handle, so
+    mixed placements run over every library, ArrayFire's lazy arrays
+    included.  Checked against the oracle, not bitwise against the pure
+    modes: Thrust and Boost.Compute sum in their own order, so their
+    pure-GPU tables differ from pure-CPU ones in the last bits."""
+    executor = HeterogeneousExecutor(
+        default_framework().create(backend), catalog
+    )
+    for name in QUERY_NAMES:
+        result = executor.execute(_plan(name, catalog), mode="auto")
+        _assert_oracle(
+            result.table, _reference(name, catalog), (backend, name)
+        )

@@ -232,8 +232,7 @@ class TestAutoMode:
     def test_auto_fuses_the_large_tpch_segment(self):
         tpch = TpchGenerator(scale_factor=0.002, seed=11).generate()
         backend = _compiled("auto")
-        executor = QueryExecutor(backend, tpch)
-        runner = PipelineRunner(executor)
+        runner = PipelineRunner(backend, tpch)
         segment = lower_plan(q6.plan(), tpch).pipelines[0]
         decision = runner.decide(segment)
         assert decision.fuse
@@ -244,8 +243,7 @@ class TestAutoMode:
         nor bytes, so the (amortised) codegen share tips the decision —
         the segment is fusable but auto mode keeps it eager."""
         backend = _compiled("auto")
-        executor = QueryExecutor(backend, catalog)
-        runner = PipelineRunner(executor)
+        runner = PipelineRunner(backend, catalog)
         plan = scan("orders").project([("k", col("o_key"))]).build()
         segment = lower_plan(plan, catalog).pipelines[0]
         assert segment.fusable

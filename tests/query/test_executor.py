@@ -196,9 +196,9 @@ class TestGroupBy:
     ):
         """Each stride is the scanned table column's max + 1, also when a
         filter removed every row holding that max."""
-        from repro.query import compiled, executor as executor_module
+        from repro.query import runner
 
-        original = executor_module.composite_key_expr
+        original = runner.composite_key_expr
         strides = []
 
         def recording(keys, meta):
@@ -206,8 +206,7 @@ class TestGroupBy:
             strides.append(key_strides)
             return expr, key_strides
 
-        monkeypatch.setattr(executor_module, "composite_key_expr", recording)
-        monkeypatch.setattr(compiled, "composite_key_expr", recording)
+        monkeypatch.setattr(runner, "composite_key_expr", recording)
         orders = catalog["orders"]
         cust_max = int(orders.column("o_cust").data.max())
         status_max = int(orders.column("o_status").data.max())

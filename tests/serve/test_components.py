@@ -8,6 +8,7 @@ import pytest
 from repro.core.expr import col
 from repro.core.predicate import col_lt
 from repro.query.builder import scan
+from repro.query.plan import InSubquery, ScalarCompare
 from repro.relational.table import Table
 from repro.serve import (
     AdmissionController,
@@ -42,6 +43,19 @@ class TestFingerprint:
     def test_different_plans_differ(self):
         other = scan("t").filter(col_lt("a", 11.0)).build()
         assert plan_fingerprint(_filtered()) != plan_fingerprint(other)
+
+    def test_subqueries_that_differ_only_in_their_subplan_differ(self):
+        def plans(bound):
+            inner = scan("s").filter(col_lt("b", bound))
+            in_set = InSubquery("a", inner.build(), "b")
+            scalar = ScalarCompare(
+                "a", "lt", inner.aggregate([("m", "max", col("b"))]).build(),
+                "m",
+            )
+            return [scan("t").filter(p).build() for p in (in_set, scalar)]
+
+        for low, high in zip(plans(1.0), plans(2.0)):
+            assert plan_fingerprint(low) != plan_fingerprint(high)
 
     def test_scanned_tables_deduplicates_and_sorts(self):
         plan = (

@@ -190,6 +190,35 @@ class TestResultCacheServing:
         assert np.array_equal(got, expected["supplier_cnt"])
         assert not np.array_equal(got, old.table.column("supplier_cnt").data)
 
+    @pytest.mark.parametrize("result_cache", [True, False])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_plans_differing_only_inside_a_subquery_are_served_apart(
+        self, first, result_cache
+    ):
+        """Two Q16 plans that differ only in their NOT IN subquery's
+        bound get their own plan- and result-cache entries, whichever
+        arrives first: each is served its own answer."""
+        catalog = TpchGenerator(scale_factor=0.004, seed=19920101).generate()
+        params = [
+            q16.DEFAULT_PARAMS, q16.Q16Params(max_excluded_balance=-10000.0)
+        ]
+        order = [first, 1 - first]
+        workload = repeated_workload(
+            [QuerySpec(f"Q16-{i}", q16.plan(catalog, params[i]))
+             for i in order],
+            rate=300.0, repeats=1,
+        )
+        with _server(
+            catalog, keep_results=True, result_cache=result_cache
+        ) as server:
+            report = server.run(workload)
+        assert report.metrics.plan_cache_hits == 0
+        records = sorted(report.records, key=lambda r: r.seq)
+        for i, record in zip(order, records):
+            expected = q16.reference(catalog, params[i])["supplier_cnt"]
+            got = record.table.column("supplier_cnt").data
+            assert np.array_equal(got, expected), (order, i)
+
     def test_update_table_rejects_unknown_tables(self, catalog):
         with _server(catalog) as server:
             with pytest.raises(KeyError):

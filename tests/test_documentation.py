@@ -78,6 +78,50 @@ class TestModuleSeams:
                     ]
         assert private == []
 
+    def test_no_private_attributes_of_other_modules(self):
+        """``x._name`` only on ``self``, ``cls`` or ``super()``, or for a
+        name the module itself defines (a function, class, variable or
+        attribute it assigns): execution layers call each other's public
+        methods, never their private ones."""
+        root = pathlib.Path(repro.__file__).parent
+        reaches = []
+        for package in ("query", "hetero", "storage", "serve", "cluster",
+                        "distributed"):
+            for path in sorted((root / package).rglob("*.py")):
+                tree = ast.parse(path.read_text())
+                defined = set()
+                for node in ast.walk(tree):
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                        defined.add(node.name)
+                    elif isinstance(node, ast.Name) and isinstance(
+                        node.ctx, ast.Store
+                    ):
+                        defined.add(node.id)
+                    elif isinstance(node, ast.Attribute) and isinstance(
+                        node.ctx, ast.Store
+                    ):
+                        defined.add(node.attr)
+                for node in ast.walk(tree):
+                    if not isinstance(node, ast.Attribute):
+                        continue
+                    name, owner = node.attr, node.value
+                    if (
+                        not name.startswith("_")
+                        or (name.startswith("__") and name.endswith("__"))
+                        or name in defined
+                        or isinstance(owner, ast.Name)
+                        and owner.id in ("self", "cls")
+                        or isinstance(owner, ast.Call)
+                        and isinstance(owner.func, ast.Name)
+                        and owner.func.id == "super"
+                    ):
+                        continue
+                    reaches.append(
+                        f"{path.relative_to(root)}:{node.lineno} "
+                        f"{ast.unparse(node)}"
+                    )
+        assert reaches == []
+
 
 class TestProjectLayout:
     def test_deliverable_files_exist(self):
